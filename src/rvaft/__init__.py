@@ -11,7 +11,7 @@ from .compiler import (
     translate_sand,
     translate_vot,
 )
-from .engine import Monitor, RunResult, TraceRunner, Verdict, init, run_trace, step
+from .engine import Monitor, RunResult, TraceRunner, Verdict, run_trace
 from .errors import RvaftError
 from .fileformat import (
     emit_spec,
@@ -48,9 +48,9 @@ __all__ = [
     "EventAnnotation", "GateSpec", "Let", "Monitor", "MonitorSpec", "RunResult",
     "RvaftError", "RvaftNode", "RvaftTree", "Seq", "Shuffle", "Term",
     "TraceRunner", "Union", "Verdict", "Violation", "annotate", "compile_tree",
-    "decompose", "emit_spec", "eval_guard", "init", "language", "match_event",
+    "decompose", "emit_spec", "eval_guard", "language", "match_event",
     "merge", "nullable", "oracle_verdict", "parse_guard", "parse_tree",
-    "print_guard", "prune", "read_trace", "run_trace", "serialize_tree", "step",
+    "print_guard", "prune", "read_trace", "run_trace", "serialize_tree",
     "translate_and", "translate_or", "translate_sand", "translate_vot",
     "validate",
 ]

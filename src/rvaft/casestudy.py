@@ -2,9 +2,10 @@
 
 A rover patrols waypoints in a radiation-contaminated facility. The shipped
 trees model the undesired event "robot damaged by radiation": the full tree
-still carries the imagery and battery concerns; the pruned tree keeps the
-four monitorable branches (two faults, two attacks) and carries the runtime
-event annotations.
+(cases/full_inspection.rvaft.json) still carries the imagery and battery
+concerns, which PRUNE_SET removes; the pruned tree (package data, also in
+cases/) keeps the four monitorable branches (two faults, two attacks) and
+carries the runtime event annotations.
 
 The goal-alteration scenario traces include the move command that binds the
 commanded waypoint (NewWp): without it the attack branches would have
@@ -16,12 +17,10 @@ picture; the altered goal is 2, the honest goal is 1.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from importlib import resources
 
-from .model import GateSpec, RvaftNode, RvaftTree
-from .terms import Bind, EventAnnotation, normalize_event
-from .fileformat import parse_guard
+from .fileformat import parse_tree
+from .terms import normalize_event
 
 SCENARIOS = (
     "fault-moving",
@@ -31,179 +30,10 @@ SCENARIOS = (
 )
 OUTCOMES = ("bad", "good")
 
-TOPIC_COMMAND = "command"
-TOPIC_RESULT = "move_base/result"
-TOPIC_RADIATION = "radiation_sensor_plugin/sensor_0"
-TOPIC_GOAL = "move_base/goal"
-
-
-def _ann(name, pattern=(), guard=None, on_guard_fail=None):
-    g = parse_guard(guard) if guard else None
-    return EventAnnotation(name, tuple(pattern), g, on_guard_fail)
-
-
-MOVE_CMD = _ann(
-    "move",
-    [("topic", TOPIC_COMMAND), ("name", "move"), ("waypoint", Bind("Waypoint"))],
-)
-MOVEBASE_RESULT = _ann(
-    "movebase_result",
-    [("topic", TOPIC_RESULT), ("waypoint", Bind("Waypoint")), ("result", "success")],
-)
-INSPECT_CMD = _ann(
-    "inspect",
-    [("topic", TOPIC_COMMAND), ("name", "inspect"), ("waypoint", Bind("Waypoint"))],
-)
-RADIATION = _ann(
-    "radiation",
-    [("topic", TOPIC_RADIATION), ("value", Bind("Value")), ("time", Bind("T1"))],
-)
-HIGH_RADIATION = _ann("high_radiation", guard="Value >= 250")
-MOVE_AWAY = _ann(
-    "move",
-    [
-        ("topic", TOPIC_COMMAND),
-        ("name", "move"),
-        ("waypoint", Bind("NewWp")),
-        ("time", Bind("T2")),
-    ],
-)
-NOT_ENTRANCE = _ann("not_entrance", guard="NewWp != 'entrance'")
-STAYED_TOO_LONG = _ann("stayed_too_long", guard="T2 >= T1 + 10")
-MOVEBASE_GOAL = _ann(
-    "MoveBaseGoal", [("topic", TOPIC_GOAL), ("goal", Bind("MBGoal"))]
-)
-GOAL_MISMATCH = _ann("goal_mismatch", guard="NewWp != MBGoal")
-
 
 def pruned_tree():
     """The four-branch tree with runtime-event annotations (monitor-ready)."""
-    nodes = [
-        RvaftNode(
-            "damaged_by_radiation",
-            "Robot damaged by radiation",
-            gate=GateSpec("OR", ("while_moving", "while_at_waypoint")),
-        ),
-        RvaftNode(
-            "while_moving",
-            "Exposure begins while moving to an inspection waypoint",
-            gate=GateSpec("SAND_LR", ("move_to_waypoint", "radiation_episode")),
-        ),
-        RvaftNode(
-            "while_at_waypoint",
-            "Exposure begins at an inspection waypoint",
-            gate=GateSpec("SAND_LR", ("arrived_at_waypoint", "radiation_episode")),
-        ),
-        RvaftNode("move_to_waypoint", "Move command issued", annotation=MOVE_CMD),
-        RvaftNode(
-            "arrived_at_waypoint", "Navigation reports arrival", annotation=MOVEBASE_RESULT
-        ),
-        RvaftNode(
-            "radiation_episode",
-            "High radiation during inspection, rover misdirected",
-            gate=GateSpec(
-                "SAND_LR",
-                (
-                    "inspect_waypoint",
-                    "radiation_reading",
-                    "radiation_high",
-                    "move_away",
-                    "target_not_entrance",
-                    "bad_outcome",
-                ),
-            ),
-        ),
-        RvaftNode("inspect_waypoint", "Inspect command issued", annotation=INSPECT_CMD),
-        RvaftNode("radiation_reading", "Radiation message observed", annotation=RADIATION),
-        RvaftNode(
-            "radiation_high", "Radiation above the safe level", annotation=HIGH_RADIATION
-        ),
-        RvaftNode("move_away", "Move command to a new waypoint", annotation=MOVE_AWAY),
-        RvaftNode(
-            "target_not_entrance",
-            "Target is not the decontamination entrance",
-            annotation=NOT_ENTRANCE,
-        ),
-        RvaftNode(
-            "bad_outcome",
-            "Rover overexposed or misdirected",
-            gate=GateSpec("OR", ("stayed_too_long", "goal_altered")),
-        ),
-        RvaftNode(
-            "stayed_too_long",
-            "Rover stayed over 10s in the contaminated area",
-            node_class="fault",
-            annotation=STAYED_TOO_LONG,
-        ),
-        RvaftNode(
-            "goal_altered",
-            "Planner goal altered by an attacker",
-            gate=GateSpec("SAND_LR", ("goal_sent", "goal_mismatch")),
-        ),
-        RvaftNode(
-            "goal_sent",
-            "Goal delivered to the planner",
-            node_class="attack",
-            annotation=MOVEBASE_GOAL,
-        ),
-        RvaftNode(
-            "goal_mismatch",
-            "Planner goal differs from the commanded waypoint",
-            node_class="attack",
-            annotation=GOAL_MISMATCH,
-        ),
-    ]
-    return RvaftTree(
-        "remote_inspection", "damaged_by_radiation", {n.id: n for n in nodes}
-    )
-
-
-def full_tree():
-    """The pre-prune tree: adds the imagery voting subtree and battery leaf.
-
-    Those concerns are covered by other verification activities (imagery) or
-    not yet implemented (battery), which is why the monitor-ready tree prunes
-    them; their nodes carry no runtime events.
-    """
-    pruned = pruned_tree()
-    nodes = dict(pruned.nodes)
-
-    def patch(nid, **kw):
-        nodes[nid] = replace(nodes[nid], **kw)
-
-    extra = [
-        RvaftNode(
-            "take_imagery",
-            "Collecting imagery fails",
-            gate=GateSpec(
-                "VOT", ("camera_blur", "barrel_missed", "leak_missed"), k=2
-            ),
-        ),
-        RvaftNode("camera_blur", "Camera image unusable", node_class="fault"),
-        RvaftNode("barrel_missed", "Barrel abnormality missed", node_class="fault"),
-        RvaftNode("leak_missed", "Pipe leakage missed", node_class="fault"),
-        RvaftNode("battery_dead", "Rover out of battery", node_class="fault"),
-        RvaftNode(
-            "inspection_actions",
-            "Inspection actions at the waypoint",
-            gate=GateSpec("AND", ("radiation_episode", "take_imagery")),
-        ),
-    ]
-    for n in extra:
-        nodes[n.id] = n
-    patch(
-        "while_moving",
-        gate=GateSpec("SAND_LR", ("move_to_waypoint", "inspection_actions")),
-    )
-    patch(
-        "while_at_waypoint",
-        gate=GateSpec("SAND_LR", ("arrived_at_waypoint", "inspection_actions")),
-    )
-    patch(
-        "bad_outcome",
-        gate=GateSpec("OR", ("battery_dead", "stayed_too_long", "goal_altered")),
-    )
-    return RvaftTree("full_inspection", "damaged_by_radiation", nodes)
+    return parse_tree(tree_document())
 
 
 PRUNE_SET = frozenset({"take_imagery", "battery_dead"})

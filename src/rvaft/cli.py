@@ -337,8 +337,7 @@ def build_parser():
     p.add_argument("--property", default="merged",
                    help="'merged' (default), a branch id like phi1, or 'all'")
     src = p.add_mutually_exclusive_group()
-    src.add_argument("--trace", help="JSONL trace file")
-    src.add_argument("--stdin", action="store_true", help="read JSONL from stdin (default)")
+    src.add_argument("--trace", help="JSONL trace file (default: stdin)")
     src.add_argument("--listen", type=int, metavar="PORT",
                      help="accept one JSONL connection on this TCP port")
     p.add_argument("--strict", action="store_true",
@@ -372,6 +371,9 @@ def main(argv=None):
         return args.func(args)
     except (RvaftError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 1
 
 

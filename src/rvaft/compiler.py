@@ -2,13 +2,14 @@
 
 Disjunction gates fork branches; every other gate composes in place. Each
 branch compiles to a sequence spine in which guard-only leaves immediately
-following an atom fold into that atom's guard. Merging factors the common
-head and tail of several branch spines and introduces a union exactly where
-they diverge.
+following an atom fold into that atom's guard. The merged term comes from the
+same walk with the disjunctions left open: each becomes a union of its arms'
+spines, with the head and tail that all arms share factored out of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -157,7 +158,6 @@ class BranchProperty:
     node_class: str  # fault or attack
     term: Term
     let_vars: tuple
-    segments: tuple = ()  # unfolded spine, consumed by merge
     notes: tuple = ()
 
 
@@ -222,8 +222,25 @@ def _enumerate_choices(tree):
     return or_nodes, sorted(choice_maps, key=sort_key)
 
 
+def _factor(arms):
+    """One spine for the arms of a disjunction: the head and tail that every
+    arm shares stay outside, and a single union covers where they differ."""
+    arms = [a for i, a in enumerate(arms) if a not in arms[:i]]
+    if len(arms) == 1:
+        return arms[0]
+    p = 0
+    while all(len(a) > p and a[p] == arms[0][p] for a in arms):
+        p += 1
+    s = 0
+    while all(len(a) - p > s and a[-1 - s] == arms[0][-1 - s] for a in arms):
+        s += 1
+    middles = tuple(a[p : len(a) - s] for a in arms)
+    return arms[0][:p] + (UnionSeg(middles),) + arms[0][len(arms[0]) - s :]
+
+
 def _build_spine(tree, nid, choices, visited, notes):
-    """Spine of one branch under the given disjunction choices."""
+    """Spine of the subtree at ``nid``; a disjunction in ``choices`` follows
+    its chosen child, any other follows all of them."""
     node = tree.nodes[nid]
     visited.append(nid)
     ann = node.annotation
@@ -236,8 +253,10 @@ def _build_spine(tree, nid, choices, visited, notes):
     if ann is None and nid != tree.root:
         notes.append(f"intermediate node {nid} has no annotation and adds no atom")
     if gate.kind == "OR":
-        chosen = choices[nid]
-        return tuple(prefix) + _build_spine(tree, chosen, choices, visited, notes)
+        arms = [choices[nid]] if nid in choices else gate.children
+        return tuple(prefix) + _factor(
+            [_build_spine(tree, child, choices, visited, notes) for child in arms]
+        )
     if gate.kind in ("SAND_LR", "SAND_RL"):
         kids = gate.children if gate.kind == "SAND_LR" else gate.children[::-1]
         spine = []
@@ -255,6 +274,13 @@ def _build_spine(tree, nid, choices, visited, notes):
     raise ValueError(f"unknown gate kind: {gate.kind!r}")
 
 
+def _close(spine):
+    """Fold a spine into a term that declares the variables its atoms bind."""
+    body = fold_spine(spine)
+    let_vars = term_bind_vars(body)
+    return (Let(let_vars, body) if let_vars else body), let_vars
+
+
 def decompose(tree):
     """Split the tree into branch properties, one per disjunction resolution."""
     problems = validate(tree, runtime_ready=True)
@@ -267,10 +293,7 @@ def decompose(tree):
     for i, choices in enumerate(choice_maps, start=1):
         visited = []
         notes = []
-        spine = _build_spine(tree, tree.root, choices, visited, notes)
-        body = fold_spine(spine)
-        let_vars = term_bind_vars(body)
-        term = Let(let_vars, body) if let_vars else body
+        term, let_vars = _close(_build_spine(tree, tree.root, choices, visited, notes))
         classes = {tree.nodes[n].node_class for n in visited} - {NEUTRAL}
         path = tuple(choices[nid] for nid in or_nodes if nid in choices)
         if not classes:
@@ -287,7 +310,6 @@ def decompose(tree):
                 node_class=node_class,
                 term=term,
                 let_vars=let_vars,
-                segments=spine,
                 notes=tuple(notes),
             )
         )
@@ -298,63 +320,50 @@ def decompose(tree):
 # Merging
 # ---------------------------------------------------------------------------
 
-def _common_prefix(a, b):
-    n = 0
-    while n < len(a) and n < len(b) and a[n] == b[n]:
-        n += 1
-    return n
+def _shared_disjunctions(tree):
+    """Disjunctions one branch can pass more than once, in preorder: those
+    below two children of the same conjunctive or voting gate."""
+    below = {}
+    shared = set()
+
+    def walk(nid):
+        if nid not in below:
+            gate = tree.nodes[nid].gate
+            found = set()
+            if gate is not None:
+                for child in gate.children:
+                    sub = walk(child)
+                    if gate.kind != "OR":
+                        shared.update(sub & found)
+                    found |= sub
+                if gate.kind == "OR":
+                    found.add(nid)
+            below[nid] = found
+        return below[nid]
+
+    walk(tree.root)
+    return [nid for nid in _collect_or_nodes(tree) if nid in shared]
 
 
-def _merge_two(a, b):
-    """Factor two spines: shared head + shared tail around one union."""
-    p = _common_prefix(a, b)
-    ra, rb = a[p:], b[p:]
-    s = _common_prefix(ra[::-1], rb[::-1])
-    ma, mb = (ra[: len(ra) - s], rb[: len(rb) - s])
-    mid = () if ma == mb else (UnionSeg((ma, mb)),)
-    suffix = ra[len(ra) - s :] if s else ()
-    return a[:p] + mid + suffix
+def merge(tree):
+    """One term whose language is the union of the tree's branch languages.
 
-
-def _sharing_score(a, b):
-    p = _common_prefix(a, b)
-    return p + _common_prefix(a[p:][::-1], b[p:][::-1])
-
-
-def merge(props):
-    """One term whose language is the union of the given branch languages.
-
-    Repeatedly merges the pair of spines with the most shared structure; when
-    nothing is shared this degrades to a plain union of the branch terms.
+    Built by the same walk as each branch, but with every disjunction left
+    open so that it becomes a union in place. A disjunction that one branch
+    can pass more than once is resolved first, one arm per choice, so that
+    its occurrences cannot choose differently.
     """
-    if len(props) == 1:
-        return props[0].term
-    spines = [p.segments for p in props]
-    while len(spines) > 1:
-        best = (0, 1)
-        best_score = -1
-        for i in range(len(spines)):
-            for j in range(i + 1, len(spines)):
-                score = _sharing_score(spines[i], spines[j])
-                if score > best_score:
-                    best, best_score = (i, j), score
-        i, j = best
-        merged = (
-            _merge_two(spines[i], spines[j])
-            if best_score > 0
-            else (UnionSeg((spines[i], spines[j])),)
-        )
-        spines = [s for k, s in enumerate(spines) if k not in (i, j)]
-        spines.insert(i, merged)  # keep document order of the surviving arms
-    body = fold_spine(spines[0])
-    let_vars = term_bind_vars(body)
-    return Let(let_vars, body) if let_vars else body
+    shared = _shared_disjunctions(tree)
+    picks = itertools.product(*(tree.nodes[nid].gate.children for nid in shared))
+    return _close(_factor(
+        [_build_spine(tree, tree.root, dict(zip(shared, pick)), [], []) for pick in picks]
+    ))[0]
 
 
 def compile_tree(tree, do_merge=True):
     """Full compilation: branch properties, optional merged term, topic set."""
     props = decompose(tree)
-    merged = merge(props) if do_merge else None
+    merged = merge(tree) if do_merge else None
     topics = set()
     for p in props:
         topics |= term_topics(p.term)

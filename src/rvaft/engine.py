@@ -227,17 +227,6 @@ class Monitor:
         return out
 
 
-def init(term, topics=None, strict=False):
-    """Fresh monitor state for a term; degenerate terms decide immediately."""
-    return Monitor(term, topics=topics, strict=strict)
-
-
-def step(state, event):
-    """Functional-flavoured wrapper over Monitor.step."""
-    diag = state.step(event)
-    return state, diag
-
-
 @dataclass
 class VerdictEntry:
     """One output row per input event."""

@@ -410,7 +410,7 @@ def read_trace(stream, stats=None):
                 raise ValueError("record needs a string 'topic'")
             event = normalize_event(raw)
             event["topic"] = canonical_topic(event["topic"])
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:
             stats.malformed += 1
             log.warning("skipping malformed trace line %d: %s", stats.lines, exc)
             continue

@@ -1,11 +1,14 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from rvaft.casestudy import pruned_tree, scenario_events
 from rvaft.compiler import compile_tree
 from rvaft.terms import Atom, Bind, Check, Epsilon, EventAnnotation, Seq, Shuffle, Union
-from rvaft.fileformat import parse_guard
+from rvaft.fileformat import parse_guard, parse_tree
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 
 @pytest.fixture(scope="session")
@@ -14,13 +17,15 @@ def tree():
 
 
 @pytest.fixture(scope="session")
-def spec(tree):
-    return compile_tree(tree, do_merge=True)
+def full_tree():
+    """The pre-prune tree: adds the imagery voting subtree and battery leaf,
+    whose nodes carry no runtime events."""
+    return parse_tree((CASES / "full_inspection.rvaft.json").read_bytes())
 
 
 @pytest.fixture(scope="session")
-def split_spec(tree):
-    return compile_tree(tree, do_merge=False)
+def spec(tree):
+    return compile_tree(tree, do_merge=True)
 
 
 SCENARIO_PROPERTY = {

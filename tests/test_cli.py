@@ -1,3 +1,4 @@
+import io
 import json
 import socket
 import threading
@@ -5,8 +6,10 @@ import time
 
 import pytest
 
+from conftest import CASES
+
 from rvaft.cli import main
-from rvaft.casestudy import pruned_tree, full_tree
+from rvaft.casestudy import pruned_tree
 from rvaft.fileformat import parse_tree, serialize_tree
 
 
@@ -18,10 +21,8 @@ def tree_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def full_tree_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("trees") / "full.rvaft.json"
-    path.write_text(serialize_tree(full_tree()))
-    return str(path)
+def full_tree_path():
+    return str(CASES / "full_inspection.rvaft.json")
 
 
 def test_validate_ok(tree_path, capsys):
@@ -241,15 +242,13 @@ def test_bench_minimal(tree_path, capsys):
 
 
 def test_stdin_stream_matches_file_stream_byte_for_byte(tree_path, tmp_path, monkeypatch):
-    import io
-
     trace = tmp_path / "t.trace.jsonl"
     main(["simulate", "attack-at-waypoint", "bad", "-o", str(trace)])
     file_out = tmp_path / "file.verdicts.jsonl"
     main(["run", tree_path, "--trace", str(trace), "-o", str(file_out)])
     stdin_out = tmp_path / "stdin.verdicts.jsonl"
     monkeypatch.setattr("sys.stdin", io.StringIO(trace.read_text()))
-    main(["run", tree_path, "--stdin", "-o", str(stdin_out)])
+    main(["run", tree_path, "-o", str(stdin_out)])
     assert stdin_out.read_bytes() == file_out.read_bytes()
 
 
@@ -272,3 +271,34 @@ def test_run_rejects_non_runtime_ready_tree(full_tree_path, tmp_path, capsys):
     main(["simulate", "fault-moving", "bad", "-o", str(trace)])
     assert main(["run", full_tree_path, "--trace", str(trace)]) == 1
     assert "runtime-ready" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def deep_tree_path(tmp_path_factory):
+    """A chain of 1,500 nested SAND gates, deeper than Python's recursion limit."""
+    depth = 1500
+
+    def leaf(i):
+        return {"class": "fault", "event": {"name": f"e{i}", "pattern": {"topic": f"t{i}"}}}
+
+    nodes = {f"g{depth}": leaf(depth)}
+    for i in range(depth):
+        nodes[f"g{i}"] = {"gate": {"kind": "SAND_LR", "children": [f"e{i}", f"g{i + 1}"]}}
+        nodes[f"e{i}"] = leaf(i)
+    path = tmp_path_factory.mktemp("trees") / "deep.rvaft.json"
+    path.write_text(json.dumps({"name": "deep", "root": "g0", "nodes": nodes}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "compile", "run"])
+def test_deep_tree_is_an_input_error(deep_tree_path, command, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main([command, deep_tree_path]) == 1
+    assert capsys.readouterr().err == "error: input is nested too deeply\n"
+
+
+def test_deep_guard_is_an_input_error(full_tree_path, capsys):
+    guard = "(" * 5000 + "Level" + ")" * 5000 + " <= 0"
+    assert main(["annotate", full_tree_path, "--node", "battery_dead", "--name", "battery",
+                 "--guard", guard]) == 1
+    assert capsys.readouterr().err == "error: input is nested too deeply\n"

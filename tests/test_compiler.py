@@ -2,18 +2,6 @@ import pytest
 
 from conftest import plain_atom, plain_event
 
-from rvaft.casestudy import (
-    HIGH_RADIATION,
-    INSPECT_CMD,
-    MOVE_AWAY,
-    MOVE_CMD,
-    MOVEBASE_GOAL,
-    MOVEBASE_RESULT,
-    NOT_ENTRANCE,
-    RADIATION,
-    STAYED_TOO_LONG,
-    pruned_tree,
-)
 from rvaft.compiler import (
     compile_tree,
     decompose,
@@ -35,6 +23,15 @@ EVENTS = [plain_event(x) for x in "abc"]
 
 def lang(term, events=EVENTS, max_len=3):
     return language(term, Env.empty(), events, max_len)
+
+
+def ann(tree, nid):
+    return tree.nodes[nid].annotation
+
+
+def _leaf(nid, annotation=None):
+    return RvaftNode(nid, node_class="fault",
+                     annotation=annotation or plain_atom(nid).ann)
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +105,18 @@ def test_vot_language_laws():
 # Decomposition
 # ---------------------------------------------------------------------------
 
-def expected_phi1_body():
+def expected_phi1_body(tree):
     return Seq(
-        Atom(MOVE_CMD),
+        Atom(ann(tree, "move_to_waypoint")),
         Seq(
-            Atom(INSPECT_CMD),
+            Atom(ann(tree, "inspect_waypoint")),
             Seq(
-                Atom(RADIATION.with_extra_guard(HIGH_RADIATION.guard)),
+                Atom(ann(tree, "radiation_reading").with_extra_guard(
+                    ann(tree, "radiation_high").guard)),
                 Atom(
-                    MOVE_AWAY.with_extra_guard(NOT_ENTRANCE.guard).with_extra_guard(
-                        STAYED_TOO_LONG.guard
-                    )
+                    ann(tree, "move_away")
+                    .with_extra_guard(ann(tree, "target_not_entrance").guard)
+                    .with_extra_guard(ann(tree, "stayed_too_long").guard)
                 ),
             ),
         ),
@@ -131,17 +129,17 @@ def test_decompose_case_study_terms(tree):
     assert [p.node_class for p in props] == ["fault", "fault", "attack", "attack"]
 
     phi1 = props[0]
-    assert phi1.term == Let(("Waypoint", "Value", "T1", "NewWp", "T2"), expected_phi1_body())
+    assert phi1.term == Let(("Waypoint", "Value", "T1", "NewWp", "T2"), expected_phi1_body(tree))
 
     # phi2 swaps only the first atom.
-    phi2_body = phi1.term.body.__class__(Atom(MOVEBASE_RESULT), phi1.term.body.right)
+    phi2_body = Seq(Atom(ann(tree, "arrived_at_waypoint")), phi1.term.body.right)
     assert props[1].term.body == phi2_body
 
     # phi3/phi4 carry the goal-alteration tail instead of the timeout guard.
     phi3 = props[2].term.body
     tail = phi3.right.right.right
     assert isinstance(tail, Seq)
-    assert tail.right == Atom(MOVEBASE_GOAL.with_extra_guard(parse_guard("NewWp != MBGoal")))
+    assert tail.right == Atom(ann(tree, "goal_sent").with_extra_guard(parse_guard("NewWp != MBGoal")))
 
 
 def test_decompose_policies(tree):
@@ -161,27 +159,32 @@ def _atoms_of(term):
     return [Atom(a) for a in iter_atoms(term)]
 
 
-def test_decompose_smallest_tree():
-    a = RvaftNode("a", node_class="fault", annotation=plain_atom("a").ann)
-    b = RvaftNode("b", node_class="fault", annotation=plain_atom("b").ann)
+def _or_of_two_leaves():
     root = RvaftNode("root", gate=GateSpec("OR", ("a", "b")))
-    tree = RvaftTree("toy", "root", {"root": root, "a": a, "b": b})
-    props = decompose(tree)
+    return RvaftTree("toy", "root", {"root": root, "a": _leaf("a"), "b": _leaf("b")})
+
+
+def test_decompose_smallest_tree():
+    props = decompose(_or_of_two_leaves())
     assert [p.term for p in props] == [A, B]
     assert [p.path for p in props] == [("a",), ("b",)]
 
 
-def _nested_or_tree():
-    def leaf(nid):
-        return RvaftNode(nid, node_class="fault", annotation=plain_atom(nid).ann)
+def _tree(name, gates, leaves="abcd", anns=None):
+    """Gate nodes given as id -> (kind, children[, k]) over leaves that carry
+    plain atoms unless ``anns`` maps their id to another annotation."""
+    anns = anns or {}
+    nodes = {nid: RvaftNode(nid, gate=GateSpec(*spec)) for nid, spec in gates.items()}
+    nodes.update((nid, _leaf(nid, anns.get(nid))) for nid in leaves)
+    return RvaftTree(name, next(iter(gates)), nodes)
 
-    nodes = {
-        "root": RvaftNode("root", gate=GateSpec("SAND_LR", ("left", "right"))),
-        "left": RvaftNode("left", gate=GateSpec("OR", ("a", "b"))),
-        "right": RvaftNode("right", gate=GateSpec("OR", ("c", "d"))),
-        "a": leaf("a"), "b": leaf("b"), "c": leaf("c"), "d": leaf("d"),
-    }
-    return RvaftTree("nested", "root", nodes)
+
+def _nested_or_tree():
+    return _tree("nested", {
+        "root": ("SAND_LR", ("left", "right")),
+        "left": ("OR", ("a", "b")),
+        "right": ("OR", ("c", "d")),
+    })
 
 
 def test_decompose_nested_ors_cartesian():
@@ -233,40 +236,86 @@ def test_decompose_requires_runtime_ready():
 # Merge
 # ---------------------------------------------------------------------------
 
-def test_merge_case_study_shape(spec):
+def test_merge_case_study_shape(tree, spec):
     merged = spec.merged
     assert isinstance(merged, Let)
     body = merged.body
     # Head: (move \/ movebase_result), then inspect, radiation, move-away.
-    assert body.left == Union(Atom(MOVE_CMD), Atom(MOVEBASE_RESULT))
-    assert body.right.left == Atom(INSPECT_CMD)
-    assert body.right.right.left == Atom(RADIATION.with_extra_guard(HIGH_RADIATION.guard))
+    assert body.left == Union(Atom(ann(tree, "move_to_waypoint")),
+                              Atom(ann(tree, "arrived_at_waypoint")))
+    assert body.right.left == Atom(ann(tree, "inspect_waypoint"))
+    assert body.right.right.left == Atom(
+        ann(tree, "radiation_reading").with_extra_guard(ann(tree, "radiation_high").guard))
     move_away = body.right.right.right.left
-    assert move_away == Atom(MOVE_AWAY.with_extra_guard(NOT_ENTRANCE.guard))
+    assert move_away == Atom(
+        ann(tree, "move_away").with_extra_guard(ann(tree, "target_not_entrance").guard))
     tail = body.right.right.right.right
     assert tail == Union(
-        Check(STAYED_TOO_LONG.guard),
-        Atom(MOVEBASE_GOAL.with_extra_guard(parse_guard("NewWp != MBGoal"))),
+        Check(ann(tree, "stayed_too_long").guard),
+        Atom(ann(tree, "goal_sent").with_extra_guard(parse_guard("NewWp != MBGoal"))),
     )
 
 
-def test_merge_idempotent_pair(split_spec):
-    p = split_spec.properties[0]
-    merged = merge([p, p])
-    assert merged.body == p.term.body
+def test_merge_idempotent_pair():
+    """An OR whose two children carry equal annotations merges to one arm."""
+    anns = {"xa": A.ann, "xb": B.ann, "ya": A.ann, "yb": B.ann}
+    tree = _tree("pair", {
+        "root": ("OR", ("x", "y")),
+        "x": ("SAND_LR", ("xa", "xb")),
+        "y": ("SAND_LR", ("ya", "yb")),
+    }, leaves=anns, anns=anns)
+    assert [p.term for p in decompose(tree)] == [Seq(A, B), Seq(A, B)]
+    assert merge(tree) == Seq(A, B)
 
 
 def test_merge_disjoint_alphabets_is_plain_union():
-    a = RvaftNode("a", node_class="fault", annotation=plain_atom("a").ann)
-    b = RvaftNode("b", node_class="fault", annotation=plain_atom("b").ann)
-    root = RvaftNode("root", gate=GateSpec("OR", ("a", "b")))
-    tree = RvaftTree("toy", "root", {"root": root, "a": a, "b": b})
-    props = decompose(tree)
-    merged = merge(props)
+    merged = merge(_or_of_two_leaves())
     assert merged == Union(A, B)
     assert lang(merged, EVENTS[:2], 2) == lang(A, EVENTS[:2], 2) | lang(
         B, EVENTS[:2], 2
     )
+
+
+def test_merge_translates_each_disjunction_once():
+    """A sequence of m two-way ORs has 2^m branches and merges to m unions."""
+    m = 7
+    gates = {"root": ("SAND_LR", tuple(f"o{i}" for i in range(m)))}
+    gates.update((f"o{i}", ("OR", (f"a{i}", f"b{i}"))) for i in range(m))
+    tree = _tree("wide", gates, leaves=[f"{x}{i}" for i in range(m) for x in "ab"])
+    assert len(decompose(tree)) == 2 ** m
+    assert merge(tree) == translate_sand(
+        [Union(plain_atom(f"a{i}"), plain_atom(f"b{i}")) for i in range(m)]
+    )
+
+
+@pytest.mark.parametrize("make_tree", [
+    _nested_or_tree,
+    # the union lands inside the shuffle or the vote
+    lambda: _tree("or-under-and", {
+        "root": ("AND", ("o", "c")),
+        "o": ("OR", ("a", "s")),
+        "s": ("SAND_LR", ("b", "d")),
+    }),
+    lambda: _tree("or-under-vot", {
+        "root": ("VOT", ("o", "c", "d"), 2),
+        "o": ("OR", ("a", "b")),
+    }),
+    # one branch passes the shared OR twice and must choose alike both times
+    lambda: _tree("shared-or", {
+        "root": ("AND", ("x", "y")),
+        "x": ("SAND_LR", ("o", "a")),
+        "y": ("SAND_LR", ("o", "b")),
+        "o": ("OR", ("c", "d")),
+    }),
+], ids=["nested-or", "or-under-and", "or-under-vot", "shared-or"])
+def test_merged_language_is_the_union_of_branch_languages(make_tree):
+    tree = make_tree()
+    events = [plain_event(x) for x in "abccdd"]  # the pool is drawn without repeats
+    merged = lang(merge(tree), events, 4)
+    branches = set()
+    for p in decompose(tree):
+        branches |= lang(p.term, events, 4)
+    assert merged == branches and merged
 
 
 def test_compile_flags(tree):

@@ -6,7 +6,7 @@ import pytest
 from conftest import SCENARIO_PROPERTY, gen_term, gen_trace, plain_atom, plain_event
 
 from rvaft.casestudy import interleave, noise_events, scenario_events
-from rvaft.engine import Monitor, TraceRunner, Verdict, init, run_trace, step
+from rvaft.engine import Monitor, TraceRunner, Verdict, run_trace
 from rvaft.errors import UnknownPropertyError
 from rvaft.fileformat import parse_guard
 from rvaft.oracle import oracle_verdict
@@ -27,20 +27,20 @@ EA, EB, EC = (plain_event(x) for x in "abc")
 
 
 def test_init_verdicts():
-    assert init(A).verdict is Verdict.UNKNOWN
-    assert init(Epsilon()).verdict is Verdict.SATISFIED
-    assert init(Empty()).verdict is Verdict.VIOLATED
+    assert Monitor(A).verdict is Verdict.UNKNOWN
+    assert Monitor(Epsilon()).verdict is Verdict.SATISFIED
+    assert Monitor(Empty()).verdict is Verdict.VIOLATED
 
 
 def test_step_is_noop_once_decided():
-    m = init(Epsilon())
-    state, diag = step(m, EA)
+    m = Monitor(Epsilon())
+    diag = m.step(EA)
     assert diag.outcome == "decided"
-    assert state.verdict is Verdict.SATISFIED
+    assert m.verdict is Verdict.SATISFIED
 
 
 def test_verdict_is_sticky():
-    m = init(Union(A, B))
+    m = Monitor(Union(A, B))
     m.step(EA)
     assert m.verdict is Verdict.SATISFIED
     for ev in (EB, EC, EA):
@@ -50,7 +50,7 @@ def test_verdict_is_sticky():
 
 def test_union_resolves_on_consumption():
     """Consuming an event through one union arm drops the other arms."""
-    m = init(Union(Seq(A, B), Seq(C, B)))
+    m = Monitor(Union(Seq(A, B), Seq(C, B)))
     m.step(EA)
     assert len(m.alternatives) == 1
     m.step(EB)
@@ -61,14 +61,14 @@ def test_shuffle_accepts_all_six_orderings():
     term = Shuffle(A, Shuffle(B, C))
     events = {0: EA, 1: EB, 2: EC}
     for order in itertools.permutations(range(3)):
-        m = init(term)
+        m = Monitor(term)
         for i in order:
             m.step(events[i])
         assert m.verdict is Verdict.SATISFIED, order
 
 
 def test_shuffle_partial_stays_unknown():
-    m = init(Shuffle(A, Shuffle(B, C)))
+    m = Monitor(Shuffle(A, Shuffle(B, C)))
     m.step(EA)
     m.step(EC)
     assert m.verdict is Verdict.UNKNOWN
@@ -78,7 +78,7 @@ def test_elimination_only_events_never_grow_alternatives():
     rng = random.Random(7)
     for _ in range(50):
         term, _ = gen_term(rng)
-        m = init(term)
+        m = Monitor(term)
         if m.verdict is not Verdict.UNKNOWN:
             continue
         for ev in gen_trace(rng):
@@ -94,7 +94,7 @@ def test_skip_policy_guard_failure_is_neutral():
             "rad", (("topic", "t_r"), ("v", Bind("Value"))), parse_guard("Value >= 250")
         )
     )
-    m = init(rad)
+    m = Monitor(rad)
     diag = m.step(normalize_event({"topic": "t_r", "v": 100}))
     assert diag.outcome == "neutral"
     assert m.skipped == 1
@@ -110,7 +110,7 @@ def test_violate_policy_guard_failure_eliminates():
             parse_guard("T2 >= T1 + 10"), on_guard_fail="violate",
         )
     )
-    m = init(move)
+    m = Monitor(move)
     # T1 unbound: the guard cannot discriminate yet -> neutral, not a crash.
     diag = m.step(normalize_event({"topic": "t_m", "t": 3}))
     assert diag.outcome == "neutral"
@@ -123,14 +123,14 @@ def test_type_mismatch_is_diagnosed_not_fatal():
             "g", (("topic", "t_g"), ("v", Bind("X"))), parse_guard("X >= 10")
         )
     )
-    m = init(guarded)
+    m = Monitor(guarded)
     diag = m.step(normalize_event({"topic": "t_g", "v": "a-string"}))
     assert m.verdict is Verdict.UNKNOWN
     assert any("treated as no match" in note for note in diag.notes)
 
 
 def test_topic_filter_drops_unsubscribed_events():
-    m = init(A, topics={"t_a"})
+    m = Monitor(A, topics={"t_a"})
     diag = m.step({"topic": "odom", "x": 1.0})
     assert diag.outcome == "dropped"
     assert m.skipped == 1
@@ -139,7 +139,7 @@ def test_topic_filter_drops_unsubscribed_events():
 
 
 def test_strict_mode_eliminates_on_nonprogress():
-    m = init(Seq(A, B), strict=True)
+    m = Monitor(Seq(A, B), strict=True)
     m.step(EB)  # cannot progress the first atom
     assert m.verdict is Verdict.VIOLATED
 

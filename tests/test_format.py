@@ -1,11 +1,14 @@
 import io
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvaft.casestudy import pruned_tree, tree_document
+from conftest import CASES
+
+from rvaft.casestudy import tree_document
 from rvaft.compiler import compile_tree
 from rvaft.errors import SchemaError, TreeParseError
 from rvaft.fileformat import (
@@ -23,9 +26,11 @@ from rvaft.terms import EventAnnotation
 
 
 def test_shipped_tree_parses_to_case_study():
-    tree = parse_tree(tree_document())
-    assert tree == pruned_tree()
-    assert validate(tree, runtime_ready=True) == []
+    """The package-data tree and the one in cases/ are the same document."""
+    shipped = (CASES / "remote_inspection.rvaft.json").read_bytes()
+    packaged = resources.files("rvaft").joinpath("data/remote_inspection.rvaft.json")
+    assert packaged.read_bytes() == shipped
+    assert validate(parse_tree(shipped), runtime_ready=True) == []
 
 
 def test_empty_document_is_schema_error():
@@ -163,11 +168,12 @@ def test_read_trace_skips_garbage_with_counter():
             '{"x": 2}',
             '{"topic": "b"}',
             '{"topic": "c", "nested": {"deep": true}}',
+            '{"topic": "d", "v": ' + "[" * 100_000 + "]" * 100_000 + "}",
         ]
     )
     events = list(read_trace(io.StringIO(lines), stats))
     assert len(events) == 3
-    assert stats.malformed == 2
+    assert stats.malformed == 3
     assert stats.events == 3
 
 

@@ -2,7 +2,7 @@ import logging
 
 import pytest
 
-from rvaft.casestudy import PRUNE_SET, full_tree, pruned_tree
+from rvaft.casestudy import PRUNE_SET, pruned_tree
 from rvaft.errors import RootAnnotationError, RootRemovalError, UnknownNodeError
 from rvaft.fileformat import parse_guard
 from rvaft.model import GateSpec, RvaftNode, RvaftTree, annotate, prune, validate
@@ -109,8 +109,8 @@ def test_prune_root_and_unknown_are_errors():
         prune(tree, {"nonexistent"})
 
 
-def test_prune_case_study_reproduces_monitor_ready_tree():
-    pruned = prune(full_tree(), PRUNE_SET)
+def test_prune_case_study_reproduces_monitor_ready_tree(full_tree):
+    pruned = prune(full_tree, PRUNE_SET)
     expected = pruned_tree()
     assert set(pruned.nodes) == set(expected.nodes)
     for nid in expected.nodes:
@@ -230,10 +230,10 @@ def test_annotate_errors():
         annotate(tree, "root", ann)
 
 
-def test_operations_revalidate_cleanly():
+def test_operations_revalidate_cleanly(full_tree):
     """Soundness: anything produced by prune/annotate on a valid tree passes
     structural validation with zero violations."""
-    tree = full_tree()
+    tree = full_tree
     assert validate(tree) == []
     pruned = prune(tree, PRUNE_SET)
     assert validate(pruned) == []
@@ -242,13 +242,13 @@ def test_operations_revalidate_cleanly():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_prune_random_subsets_revalidate(seed):
+def test_prune_random_subsets_revalidate(seed, full_tree):
     """Any prune of a valid tree yields a tree with zero structural
     violations (collapse and GC leave no dangling edges or thin gates)."""
     import random
 
     rng = random.Random(seed)
-    base = full_tree()
+    base = full_tree
     candidates = [nid for nid in base.nodes if nid != base.root]
     for _ in range(40):
         k = rng.randrange(1, 6)
