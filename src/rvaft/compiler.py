@@ -4,7 +4,9 @@ Disjunction gates fork branches; every other gate composes in place. Each
 branch compiles to a sequence spine in which guard-only leaves immediately
 following an atom fold into that atom's guard. The merged term comes from the
 same walk with the disjunctions left open: each becomes a union of its arms'
-spines, with the head and tail that all arms share factored out of it.
+spines, with the head and tail that all arms share factored out of it. A
+disjunction below a shuffle or a vote is resolved at that gate instead, so
+the union sits above the gate, as it does between separate branches.
 """
 
 from __future__ import annotations
@@ -183,6 +185,28 @@ def _collect_or_nodes(tree):
     return out
 
 
+def _resolutions(tree, nids, choices):
+    """Every extension of ``choices`` by one child of each disjunction that
+    the subtrees at ``nids`` pass; a disjunction already chosen keeps its
+    choice."""
+    maps = [choices]
+    for nid in nids:
+        gate = tree.nodes[nid].gate
+        if gate is None:
+            continue
+        out = []
+        for m in maps:
+            if gate.kind != "OR":
+                out.extend(_resolutions(tree, gate.children, m))
+            elif nid in m:  # shared disjunction already resolved
+                out.extend(_resolutions(tree, [m[nid]], m))
+            else:
+                for child in gate.children:
+                    out.extend(_resolutions(tree, [child], {**m, nid: child}))
+        maps = out
+    return maps
+
+
 def _enumerate_choices(tree):
     """All disjunction resolutions, ordered so deeper choices vary slowest.
 
@@ -190,25 +214,7 @@ def _enumerate_choices(tree):
     last, which numbers the case-study branches fault, fault, attack, attack.
     """
     or_nodes = _collect_or_nodes(tree)
-
-    def expand(nid, choice_map):
-        node = tree.nodes[nid]
-        gate = node.gate
-        if gate is None:
-            return [choice_map]
-        if gate.kind == "OR":
-            if nid in choice_map:  # shared disjunction already resolved
-                return expand(choice_map[nid], choice_map)
-            maps = []
-            for child in gate.children:
-                maps.extend(expand(child, {**choice_map, nid: child}))
-            return maps
-        maps = [choice_map]
-        for child in gate.children:
-            maps = [m2 for m in maps for m2 in expand(child, m)]
-        return maps
-
-    choice_maps = expand(tree.root, {})
+    choice_maps = _resolutions(tree, [tree.root], {})
 
     def sort_key(cm):
         key = []
@@ -240,7 +246,8 @@ def _factor(arms):
 
 def _build_spine(tree, nid, choices, visited, notes):
     """Spine of the subtree at ``nid``; a disjunction in ``choices`` follows
-    its chosen child, any other follows all of them."""
+    its chosen child, any other follows all of them, as a union in place on a
+    sequence and as one union of whole gates below a shuffle or a vote."""
     node = tree.nodes[nid]
     visited.append(nid)
     ann = node.annotation
@@ -263,15 +270,22 @@ def _build_spine(tree, nid, choices, visited, notes):
         for child in kids:
             spine.extend(_build_spine(tree, child, choices, visited, notes))
         return tuple(prefix) + tuple(spine)
-    child_terms = [
-        fold_spine(_build_spine(tree, child, choices, visited, notes))
-        for child in gate.children
-    ]
-    if gate.kind == "AND":
-        return tuple(prefix) + (TermSeg(translate_and(child_terms)),)
-    if gate.kind == "VOT":
-        return tuple(prefix) + (TermSeg(translate_vot(gate.k, child_terms)),)
-    raise ValueError(f"unknown gate kind: {gate.kind!r}")
+    if gate.kind not in ("AND", "VOT"):
+        raise ValueError(f"unknown gate kind: {gate.kind!r}")
+    # A disjunction below a shuffle or a vote is resolved here, one arm per
+    # choice, so that the union sits above the gate: the monitor then splits
+    # the arms into separate alternatives at the first event the gate takes.
+    arms = []
+    for pick in _resolutions(tree, gate.children, choices):
+        child_terms = [
+            fold_spine(_build_spine(tree, child, pick, visited, notes))
+            for child in gate.children
+        ]
+        if gate.kind == "AND":
+            arms.append((TermSeg(translate_and(child_terms)),))
+        else:
+            arms.append((TermSeg(translate_vot(gate.k, child_terms)),))
+    return tuple(prefix) + _factor(arms)
 
 
 def _close(spine):
@@ -349,9 +363,9 @@ def merge(tree):
     """One term whose language is the union of the tree's branch languages.
 
     Built by the same walk as each branch, but with every disjunction left
-    open so that it becomes a union in place. A disjunction that one branch
-    can pass more than once is resolved first, one arm per choice, so that
-    its occurrences cannot choose differently.
+    open so that it becomes a union. A disjunction that one branch can pass
+    more than once is resolved first, one arm per choice, so that its
+    occurrences cannot choose differently.
     """
     shared = _shared_disjunctions(tree)
     picks = itertools.product(*(tree.nodes[nid].gate.children for nid in shared))

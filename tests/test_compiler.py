@@ -15,7 +15,8 @@ from rvaft.errors import InvalidKError, UnclassifiedBranchError
 from rvaft.fileformat import parse_guard
 from rvaft.model import GateSpec, RvaftNode, RvaftTree
 from rvaft.oracle import language
-from rvaft.terms import Atom, Check, Env, Let, Seq, Shuffle, Union
+from rvaft.engine import Monitor, Verdict
+from rvaft.terms import Atom, Bind, Check, Env, EventAnnotation, Let, Seq, Shuffle, Union
 
 A, B, C = (plain_atom(x) for x in "abc")
 EVENTS = [plain_event(x) for x in "abc"]
@@ -290,7 +291,8 @@ def test_merge_translates_each_disjunction_once():
 
 @pytest.mark.parametrize("make_tree", [
     _nested_or_tree,
-    # the union lands inside the shuffle or the vote
+    # the OR is resolved at the gate above it, so the union sits above the
+    # shuffle or the vote
     lambda: _tree("or-under-and", {
         "root": ("AND", ("o", "c")),
         "o": ("OR", ("a", "s")),
@@ -316,6 +318,32 @@ def test_merged_language_is_the_union_of_branch_languages(make_tree):
     for p in decompose(tree):
         branches |= lang(p.term, events, 4)
     assert merged == branches and merged
+
+
+def test_merged_verdicts_match_any_branch_with_an_or_under_an_and():
+    """Below a shuffle, the OR's arms must split into separate alternatives
+    at the first event the shuffle takes. Were they one alternative, the
+    violate-policy guard failure of arm x would drop arm y with it."""
+    x = Atom(EventAnnotation("x", (("topic", "t_x"), ("v", Bind("X"))),
+                             parse_guard("X < 1"), "violate"))
+    y, c = plain_atom("y"), plain_atom("c")
+    tree = _tree("or-under-and", {
+        "root": ("AND", ("o", "c")),
+        "o": ("OR", ("x", "y")),
+    }, leaves="xyc", anns={"x": x.ann})
+    merged = merge(tree)
+    assert merged == Let(("X",), Union(Shuffle(x, c), Shuffle(y, c)))
+    trace = [plain_event("c"), {"topic": "t_x", "v": 1.0}, plain_event("y")]
+    monitors = [Monitor(merged)] + [Monitor(p.term) for p in decompose(tree)]
+    for event in trace:
+        for m in monitors:
+            m.step(event)
+        verdicts = [m.verdict for m in monitors]
+        any_branch = (Verdict.SATISFIED if Verdict.SATISFIED in verdicts[1:]
+                      else Verdict.UNKNOWN if Verdict.UNKNOWN in verdicts[1:]
+                      else Verdict.VIOLATED)
+        assert verdicts[0] is any_branch
+    assert verdicts == [Verdict.SATISFIED, Verdict.VIOLATED, Verdict.SATISFIED]
 
 
 def test_compile_flags(tree):
