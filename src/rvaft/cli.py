@@ -220,7 +220,9 @@ def bench_report(spec, lengths, seed=0, repetitions=5):
 
     Each length runs several times and keeps its least-noisy (fastest mean)
     repetition; the collector is paused while sampling so its pauses don't
-    land on arbitrary events.
+    land on arbitrary events. The streams are generated first and the
+    repetitions go round-robin over the lengths, so a drift in host speed
+    reaches every length alike instead of passing for a length effect.
     """
     import gc
 
@@ -228,11 +230,10 @@ def bench_report(spec, lengths, seed=0, repetitions=5):
     warm = Monitor(spec.merged, topics=spec.topics)
     for event in _bench_stream(2000, random.Random(seed + 1)):
         warm.step(event)
-    rows = []
-    for n in lengths:
-        stream = _bench_stream(n, rng)
-        best = None
-        for _ in range(repetitions):
+    streams = [_bench_stream(n, rng) for n in lengths]
+    best = [None] * len(streams)
+    for _ in range(repetitions):
+        for i, stream in enumerate(streams):
             monitor = Monitor(spec.merged, topics=spec.topics)
             samples = []
             gc_was_enabled = gc.isenabled()
@@ -248,9 +249,10 @@ def bench_report(spec, lengths, seed=0, repetitions=5):
                 if gc_was_enabled:
                     gc.enable()
             mean_us = statistics.fmean(samples) / 1000.0
-            if best is None or mean_us < best[0]:
-                best = (mean_us, elapsed, samples, monitor.peak_alternatives)
-        mean_us, elapsed, samples, peak = best
+            if best[i] is None or mean_us < best[i][0]:
+                best[i] = (mean_us, elapsed, samples, monitor.peak_alternatives)
+    rows = []
+    for n, (mean_us, elapsed, samples, peak) in zip(lengths, best):
         samples.sort()
 
         def pct(q):

@@ -11,7 +11,7 @@ was noise for it). The three-valued verdict is sticky.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import TypeMismatchError, UnknownPropertyError
@@ -59,12 +59,7 @@ class Alternative:
 class StepDiagnostics:
     event_index: int
     outcome: str  # progressed | eliminated | neutral | dropped | decided
-    alt_outcomes: tuple = ()  # per prior alternative: progressed | guard_failed | neutral
-    matched_atoms: tuple = ()
-    bindings_delta: dict = field(default_factory=dict)
-    guard_failures: tuple = ()
     notes: tuple = ()
-    branch_attribution: tuple = ()
 
 
 def _derive(term, env, ev, idx):
@@ -120,6 +115,43 @@ def _derive(term, env, ev, idx):
     raise TypeError(f"not a term: {term!r}")
 
 
+def _may_be_empty(term):
+    """Could the term accept the empty trace under some bindings? A check
+    may pass, so it counts as possibly empty; this over-approximates
+    ``nullable`` for every environment."""
+    if isinstance(term, (Epsilon, Check)):
+        return True
+    if isinstance(term, (Seq, Shuffle)):
+        return _may_be_empty(term.left) and _may_be_empty(term.right)
+    if isinstance(term, Union):
+        return _may_be_empty(term.left) or _may_be_empty(term.right)
+    if isinstance(term, Let):
+        return _may_be_empty(term.body)
+    return False
+
+
+def _frontier(term, out):
+    """Add to ``out`` the literal topic of every atom that may consume the
+    term's next event. Returns False when such an atom has no literal string
+    topic (bound to a variable, guard-only, or no topic key): any event may
+    reach it."""
+    if isinstance(term, Atom):
+        topic = term.ann.topic()
+        if not isinstance(topic, str):
+            return False
+        out.add(topic)
+        return True
+    if isinstance(term, Seq):
+        if not _frontier(term.left, out):
+            return False
+        return not _may_be_empty(term.left) or _frontier(term.right, out)
+    if isinstance(term, (Union, Shuffle)):
+        return _frontier(term.left, out) and _frontier(term.right, out)
+    if isinstance(term, Let):
+        return _frontier(term.body, out)
+    return True  # Empty, Epsilon and Check consume nothing
+
+
 class Monitor:
     """Stateful monitor for one term over one ordered event stream.
 
@@ -127,6 +159,12 @@ class Monitor:
     topic is dropped before stepping (mirroring channel subscription). With
     ``strict`` set, any subscribed event that progresses nothing eliminates
     the alternative instead of being skipped.
+
+    ``frontier`` is the set of topics the live alternatives can consume next,
+    or None when some alternative can consume an event on any topic (and
+    always in strict mode). An event off the frontier matches no atom that
+    ``_derive`` would reach, so it can neither progress an alternative nor
+    fail a guard: it is neutral, and ``step`` returns without deriving.
     """
 
     def __init__(self, term, topics=None, strict=False):
@@ -138,15 +176,20 @@ class Monitor:
         self.skipped = 0
         self.peak_alternatives = 0
         if isinstance(term, Empty):
-            self.alternatives = []
+            self._replace_alternatives([])
         else:
-            self.alternatives = [Alternative(term, Env.empty())]
-        self._update_peak()
-        self.verdict = self._assess()
+            self._replace_alternatives([Alternative(term, Env.empty())])
 
-    def _update_peak(self):
-        if len(self.alternatives) > self.peak_alternatives:
-            self.peak_alternatives = len(self.alternatives)
+    def _replace_alternatives(self, alternatives):
+        self.alternatives = alternatives
+        if len(alternatives) > self.peak_alternatives:
+            self.peak_alternatives = len(alternatives)
+        self.verdict = self._assess()
+        self.frontier = None
+        if not self.strict:
+            topics = set()
+            if all(_frontier(a.term, topics) for a in alternatives):
+                self.frontier = frozenset(topics)
 
     def _assess(self):
         if any(nullable(a.term, a.env) for a in self.alternatives):
@@ -158,65 +201,52 @@ class Monitor:
     def step(self, event):
         """Consume one event; returns diagnostics. No-op once decided."""
         idx = self.events_seen
-        if self.verdict is not Verdict.UNKNOWN:
-            self.events_seen += 1
-            return StepDiagnostics(idx, "decided")
         self.events_seen += 1
-        if self.topics is not None:
-            topic = canonical_topic(event.get("topic"))
-            if topic not in self.topics:
-                self.skipped += 1
-                return StepDiagnostics(idx, "dropped")
+        if self.verdict is not Verdict.UNKNOWN:
+            return StepDiagnostics(idx, "decided")
+        topic = event.get("topic")
+        if self.topics is not None and canonical_topic(topic) not in self.topics:
+            self.skipped += 1
+            return StepDiagnostics(idx, "dropped")
+        if self.frontier is not None and not (
+            isinstance(topic, str) and topic in self.frontier
+        ):
+            self.skipped += 1
+            return StepDiagnostics(idx, "neutral")
 
-        new_alts = []
-        alt_outcomes = []
-        matched = []
-        fails = []
+        successors = []  # per alternative, what replaces it
         notes = []
-        delta = {}
+        neutral = True
         for alt in self.alternatives:
             succ, guard_fails, alt_notes = _derive(alt.term, alt.env, event, idx)
             notes.extend(alt_notes)
-            fails.extend(a.name for a in guard_fails)
             if succ:
-                alt_outcomes.append("progressed")
-                for t, e, name in succ:
-                    cand = Alternative(t, e, alt.trail + ((idx, name),))
-                    if not any(c.term == cand.term and c.env == cand.env for c in new_alts):
-                        new_alts.append(cand)
-                    if name not in matched:
-                        matched.append(name)
-                    for k, v in e.items:
-                        if k not in alt.env:
-                            delta[k] = v
-                continue
-            if any(a.effective_policy() == "violate" for a in guard_fails):
-                alt_outcomes.append("guard_failed")
-                continue  # alternative eliminated
-            if self.strict:
-                alt_outcomes.append("eliminated")
-                continue  # strict mode: non-progressing events are conclusive
-            # No match or a skip-policy guard failure: the event is noise here.
-            alt_outcomes.append("neutral")
-            if not any(c.term == alt.term and c.env == alt.env for c in new_alts):
-                new_alts.append(alt)
-
-        neutral = bool(alt_outcomes) and all(o == "neutral" for o in alt_outcomes)
-        if neutral:
-            self.skipped += 1
-        self.alternatives = new_alts
-        self._update_peak()
-        self.verdict = self._assess()
+                successors.append(
+                    [Alternative(t, e, alt.trail + ((idx, name),)) for t, e, name in succ]
+                )
+                neutral = False
+            elif self.strict or any(a.effective_policy() == "violate" for a in guard_fails):
+                successors.append([])  # eliminated
+                neutral = False
+            else:
+                # No match or a skip-policy guard failure: the event is noise here.
+                successors.append([alt])
         for n in notes:
             log.debug("event %d: %s", idx, n)
+        if neutral:
+            # Nothing changed: the alternatives are already distinct and the
+            # verdict still holds.
+            self.skipped += 1
+            return StepDiagnostics(idx, "neutral", tuple(notes))
+
+        new_alts = []
+        for cands in successors:
+            for cand in cands:
+                if not any(c.term == cand.term and c.env == cand.env for c in new_alts):
+                    new_alts.append(cand)
+        self._replace_alternatives(new_alts)
         return StepDiagnostics(
-            idx,
-            "neutral" if neutral else ("eliminated" if not new_alts else "progressed"),
-            tuple(alt_outcomes),
-            tuple(matched),
-            delta,
-            tuple(dict.fromkeys(fails)),
-            tuple(notes),
+            idx, "progressed" if new_alts else "eliminated", tuple(notes)
         )
 
     def bindings(self):
@@ -285,12 +315,11 @@ class TraceRunner:
         diag = self.monitor.step(event)
         for shadow in self.shadows.values():
             shadow.step(event)
-        diag.branch_attribution = self.attribution()
         record = VerdictEntry(
             event_index=diag.event_index,
             verdict=self.monitor.verdict,
             property=self.which,
-            live_branches=diag.branch_attribution,
+            live_branches=self.attribution(),
             bindings=self.monitor.bindings() or None,
             skipped=diag.outcome in ("dropped", "neutral", "decided"),
         )

@@ -236,7 +236,10 @@ def _parse_matcher(node_id, key, raw):
         if not isinstance(raw["bind"], str):
             _schema_error(node_id, f"pattern {key}: bind must name a variable")
         return Bind(raw["bind"])
-    value = normalize_value(raw)
+    try:
+        value = normalize_value(raw)
+    except ValueError as exc:
+        _schema_error(node_id, f"pattern {key}: {exc}")
     if key == "topic" and isinstance(value, str):
         value = canonical_topic(value)
     return value
@@ -391,7 +394,10 @@ class TraceStats:
 
 def read_trace(stream, stats=None):
     """Yield events from a JSONL stream in order; malformed lines are counted
-    and skipped with a warning, never aborting the stream."""
+    and skipped with a warning, never aborting the stream. A line is malformed
+    when it is not a JSON object with a string ``topic``, is nested too
+    deeply, or holds a number that is not a finite double (NaN, Infinity or
+    an overflowing literal)."""
     stats = stats if stats is not None else TraceStats()
     if isinstance(stream, (bytes, str)):
         stream = io.StringIO(

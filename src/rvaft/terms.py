@@ -10,6 +10,7 @@ declares the variables a term may bind.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -21,11 +22,22 @@ _UNSET = object()
 
 
 def normalize_value(v):
-    """Canonicalise a JSON-ish value: all numbers become floats, containers recurse."""
+    """Canonicalise a JSON-ish value: all numbers become floats, containers recurse.
+
+    A number must be a finite double: NaN, an infinity or an integer too large
+    for a double raises ValueError. (A NaN time would make every ordered guard
+    over it false, and it has no JSON spelling in the verdict records.)
+    """
     if isinstance(v, bool) or v is None:
         return v
     if isinstance(v, (int, float)):
-        return float(v)
+        try:
+            f = float(v)
+        except OverflowError:
+            raise ValueError("number too large for a double") from None
+        if not math.isfinite(f):
+            raise ValueError(f"not a finite number: {v!r}")
+        return f
     if isinstance(v, str):
         return v
     if isinstance(v, dict):

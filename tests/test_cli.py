@@ -141,6 +141,27 @@ def test_run_detection_exit_codes(tree_path, tmp_path, capsys):
     assert [r["event_index"] for r in records] == [0, 1, 2, 3]
 
 
+def test_run_skips_a_line_with_a_nan_time(tree_path, tmp_path, capsys, caplog):
+    """A NaN time would bind T1 = NaN and make `T2 >= T1 + 10` false; the line
+    is malformed instead, and no verdict line carries a NaN."""
+    lines = [
+        '{"topic": "/command", "time": 10.4, "name": "move", "waypoint": 0}',
+        '{"topic": "/command", "time": 15.6, "name": "inspect", "waypoint": 0}',
+        '{"topic": "/radiation_sensor_plugin/sensor_0", "value": 300, "time": %s}',
+        '{"topic": "/command", "time": 30.241, "name": "move", "waypoint": 1}',
+    ]
+    trace = tmp_path / "t.trace.jsonl"
+    trace.write_text("\n".join(lines) % "16.1")
+    assert main(["run", tree_path, "--trace", str(trace)]) == 2
+    capsys.readouterr()
+    trace.write_text("\n".join(lines) % "NaN")
+    assert main(["run", tree_path, "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["event_index"] for line in out] == [0, 1, 2]
+    assert not any("NaN" in line for line in out)
+    assert "skipping malformed trace line 3" in caplog.text
+
+
 def test_run_good_trace_exits_zero(tree_path, tmp_path):
     trace = tmp_path / "good.trace.jsonl"
     main(["simulate", "attack-at-waypoint", "good", "-o", str(trace)])

@@ -5,14 +5,17 @@ import pytest
 
 from conftest import SCENARIO_PROPERTY, gen_term, gen_trace, plain_atom, plain_event
 
+from rvaft import engine
 from rvaft.casestudy import interleave, noise_events, scenario_events
 from rvaft.engine import Monitor, TraceRunner, Verdict, run_trace
 from rvaft.errors import UnknownPropertyError
 from rvaft.fileformat import parse_guard
 from rvaft.oracle import oracle_verdict
 from rvaft.terms import (
+    NO_MATCH,
     Atom,
     Bind,
+    Check,
     Empty,
     Epsilon,
     EventAnnotation,
@@ -244,3 +247,103 @@ def test_engine_agrees_with_oracle_randomized():
         assert m.verdict == oracle_verdict(term, trace), (term, trace)
         checked += 1
     assert checked == 300
+
+
+# ---------------------------------------------------------------------------
+# Frontier: events no live alternative can consume are skipped unstepped
+# ---------------------------------------------------------------------------
+
+SUBSCRIBED = {"t_a", "t_b", "t_c"}
+
+
+def _refuse(*_args):
+    raise AssertionError("an off-frontier event reached the derivation")
+
+
+def test_off_frontier_event_is_skipped_without_deriving(monkeypatch):
+    m = Monitor(Seq(A, B), topics=SUBSCRIBED)
+    m.step(EA)
+    assert m.frontier == {"t_b"}
+    alternatives = m.alternatives
+    monkeypatch.setattr(engine, "match_event", _refuse)
+    monkeypatch.setattr(engine, "nullable", _refuse)
+    for ev in (EC, EA):  # subscribed, but not next or already consumed
+        assert m.step(ev).outcome == "neutral"
+    assert m.skipped == 2
+    assert m.alternatives is alternatives
+    assert m.verdict is Verdict.UNKNOWN
+    assert m.step({"topic": "odom"}).outcome == "dropped"
+    monkeypatch.undo()
+    assert m.step(EB).outcome == "progressed"
+    assert m.verdict is Verdict.SATISFIED
+
+
+def test_strict_mode_still_eliminates_off_frontier_events():
+    m = Monitor(Seq(A, B), topics=SUBSCRIBED, strict=True)
+    assert m.frontier is None
+    m.step(EA)
+    assert m.step(EC).outcome == "eliminated"
+    assert m.verdict is Verdict.VIOLATED
+
+
+@pytest.mark.parametrize("wild", [
+    EventAnnotation("topic_var", (("topic", Bind("T")),)),
+    EventAnnotation("guard_only", (), parse_guard("X >= 1")),
+    EventAnnotation("no_topic", (("v", Bind("X")),)),
+], ids=["topic-variable", "guard-only", "no-topic-key"])
+def test_atom_without_literal_topic_opens_the_frontier(wild, monkeypatch):
+    m = Monitor(Union(A, Atom(wild)))
+    assert m.frontier is None
+    tried = []
+    monkeypatch.setattr(
+        engine, "match_event", lambda ann, _ev, _env: tried.append(ann.name) or NO_MATCH
+    )
+    assert m.step(EC).outcome == "neutral"  # derived in full, though no atom names t_c
+    assert tried == ["a", wild.name]
+
+
+def test_frontier_looks_past_a_check_and_a_nullable_head():
+    head = Check(parse_guard("X >= 1"))
+    assert Monitor(Seq(head, B)).frontier == {"t_b"}
+    assert Monitor(Seq(Union(A, Epsilon()), Seq(B, C))).frontier == {"t_a", "t_b"}
+    assert Monitor(Shuffle(Seq(A, B), C)).frontier == {"t_a", "t_c"}
+
+
+def _replay(term, trace, strict):
+    """Per step: outcome, notes, alternatives, verdict and skip count; and
+    how many steps met an event off the frontier."""
+    m = Monitor(term, strict=strict)
+    rows = []
+    off_frontier = 0
+    for ev in trace:
+        off_frontier += (m.verdict is Verdict.UNKNOWN and m.frontier is not None
+                         and ev.get("topic") not in m.frontier)
+        diag = m.step(ev)
+        rows.append((diag.outcome, diag.notes, tuple(m.alternatives), m.verdict, m.skipped))
+    return rows, off_frontier
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_frontier_skip_matches_full_derivation_and_oracle(strict, monkeypatch):
+    """On terms with wildcard atoms and check-headed sequences, and on events
+    no atom names, every step equals the step that derives every event, and
+    (outside strict mode, which the oracle does not model) the verdict
+    equals the oracle's."""
+    rng = random.Random(777)
+    skipped = 0
+    for _ in range(400):
+        term, _ = gen_term(rng, wild=True)
+        trace = gen_trace(rng, wild=True)
+        fast, off_frontier = _replay(term, trace, strict)
+        skipped += off_frontier
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "_frontier", lambda _term, _out: False)
+            full, _ = _replay(term, trace, strict)
+        assert fast == full, (term, trace)
+        if not strict:
+            verdict = fast[-1][3] if fast else Monitor(term).verdict
+            assert verdict == oracle_verdict(term, trace), (term, trace)
+    if strict:
+        assert skipped == 0
+    else:
+        assert skipped > 100  # the fast path is exercised, not bypassed

@@ -177,6 +177,39 @@ def test_read_trace_skips_garbage_with_counter():
     assert stats.events == 3
 
 
+NON_FINITE = pytest.mark.parametrize(
+    "literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "1e400", "10**400"],
+)
+
+
+@NON_FINITE
+def test_read_trace_skips_non_finite_numbers(literal):
+    stats = TraceStats()
+    lines = [
+        '{"topic": "a", "v": 1}',
+        '{"topic": "b", "v": %s}' % literal,
+        '{"topic": "c", "pose": {"x": [0, %s]}}' % literal,
+    ]
+    events = list(read_trace(io.StringIO("\n".join(lines)), stats))
+    assert [e["topic"] for e in events] == ["a"]
+    assert (stats.events, stats.malformed) == (1, 2)
+
+
+@NON_FINITE
+def test_non_finite_pattern_number_is_schema_error(literal):
+    text = json.dumps({
+        "name": "t", "root": "r",
+        "nodes": {
+            "r": {"gate": {"kind": "OR", "children": ["a", "b"]}},
+            "a": {"event": {"name": "x", "pattern": {"topic": "t", "v": 0}}},
+            "b": {"event": {"name": "y", "pattern": {"topic": "t"}}},
+        },
+    }).replace('"v": 0', f'"v": {literal}')
+    with pytest.raises(SchemaError, match="a: pattern v: "):
+        parse_tree(text)
+
+
 def test_format_event_round_trips_through_read_trace():
     ev = {"topic": "/command", "time": 10.4, "waypoint": 0}
     line = format_event(ev)
