@@ -10,6 +10,7 @@ so satisfaction is the alarming outcome.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -24,6 +25,7 @@ from .compiler import compile_tree
 from .engine import Monitor, TraceRunner, Verdict
 from .errors import RvaftError
 from .fileformat import (
+    TraceStats,
     emit_spec,
     format_event,
     parse_guard,
@@ -119,11 +121,7 @@ def cmd_compile(args):
     return 0
 
 
-def _events_from_stdin():
-    yield from read_trace(sys.stdin)
-
-
-def _events_from_tcp(port):
+def _events_from_tcp(port, stats):
     """Minimal live-stream contract: one JSONL connection at a time."""
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -134,13 +132,62 @@ def _events_from_tcp(port):
     log.info("connection from %s:%d", *peer)
     try:
         with conn.makefile("rb") as fh:
-            yield from read_trace(fh)
+            yield from read_trace(fh, stats)
     finally:
         conn.close()
         server.close()
 
 
+# Verdict lines a replay joins into one write. Where stdout is unbuffered
+# (PYTHONUNBUFFERED), every write is a system call.
+REPLAY_BATCH_LINES = 1000
+
+
+class _VerdictWriter:
+    """Writes one runner's verdict lines to ``out`` as soon as each is final,
+    ``batch`` lines per write and flush.
+
+    A ``?`` line is held until the next event arrives or the input ends: at
+    the end ``TraceRunner.finish`` may still close it to ``bottom``. A
+    ``top`` or ``bottom`` line is final at once, since the verdict is sticky.
+    """
+
+    def __init__(self, out, batch):
+        self.out = out
+        self.batch = batch
+        self.held = None
+        self.pending = []
+
+    def push(self, record):
+        if self.held is not None:
+            self._emit(self.held)
+            self.held = None
+        if record.verdict is Verdict.UNKNOWN:
+            self.held = record
+        else:
+            self._emit(record)
+
+    def close(self):
+        if self.held is not None:
+            self._emit(self.held)
+        if self.pending:
+            self._drain()
+
+    def _emit(self, record):
+        self.pending.append(verdict_record_line(record) + "\n")
+        if len(self.pending) >= self.batch:
+            self._drain()
+
+    def _drain(self):
+        self.out.write("".join(self.pending))
+        self.out.flush()
+        self.pending.clear()
+
+
 def cmd_run(args):
+    """One pass over the input: each event goes to every selected runner,
+    and each verdict line is written as soon as it is final. Live input
+    (stdin, ``--listen``) is written and flushed line by line."""
     tree = _load_tree(args.tree)
     spec = compile_tree(tree, do_merge=True)
     if args.property == "all":
@@ -150,42 +197,50 @@ def cmd_run(args):
             return 1
     else:
         selectors = [args.property]
+    runners = [TraceRunner(spec, which, strict=args.strict) for which in selectors]
 
-    if args.trace:
-        with open(args.trace, "rb") as fh:
-            events = list(read_trace(fh))
-    elif args.listen is not None:
-        events = list(_events_from_tcp(args.listen))
-    else:
-        events = list(_events_from_stdin())
-
-    detected = False
-    for which in selectors:
-        runner = TraceRunner(spec, which, strict=args.strict)
-        for event in events:
-            runner.feed(event)
-        final = runner.finish()
-        lines = "".join(verdict_record_line(r) + "\n" for r in runner.records)
-        if args.output:
+    stats = TraceStats()
+    with contextlib.ExitStack() as stack:
+        if args.trace:
+            events = read_trace(stack.enter_context(open(args.trace, "rb")), stats)
+        elif args.listen is not None:
+            events = stack.enter_context(
+                contextlib.closing(_events_from_tcp(args.listen, stats)))
+        else:
+            events = read_trace(sys.stdin, stats)
+        batch = REPLAY_BATCH_LINES if args.trace else 1
+        writers = []
+        for which in selectors:
             path = args.output
-            if len(selectors) > 1:
+            if path and len(selectors) > 1:
                 stem, dot, rest = path.partition(".")
                 path = f"{stem}.{which}.{rest}" if dot else f"{path}.{which}"
-            _write_text(path, lines)
-        else:
-            sys.stdout.write(lines)
+            if not path or path == "-":
+                out = sys.stdout
+            else:
+                out = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+            writers.append(_VerdictWriter(out, batch))
+        for event in events:
+            for runner, writer in zip(runners, writers):
+                writer.push(runner.feed(event))
+        finals = [runner.finish() for runner in runners]
+        for writer in writers:
+            writer.close()
+
+    print(f"trace: lines={stats.lines} events={stats.events} malformed={stats.malformed}",
+          file=sys.stderr)
+    for runner, final in zip(runners, finals):
         attribution = sorted(runner.attribution()) if final is Verdict.SATISFIED else []
         classes = sorted(
             {p.node_class for p in spec.properties if p.id in attribution}
         )
         print(
-            f"{which}: verdict={final.symbol()}"
+            f"{runner.which}: verdict={final.symbol()}"
             + (f" detected={'/'.join(classes)} branches={','.join(attribution)}"
                if final is Verdict.SATISFIED else ""),
             file=sys.stderr,
         )
-        detected = detected or final is Verdict.SATISFIED
-    return 2 if detected else 0
+    return 2 if Verdict.SATISFIED in finals else 0
 
 
 def cmd_simulate(args):

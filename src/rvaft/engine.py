@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from .errors import TypeMismatchError, UnknownPropertyError
 from .terms import (
@@ -185,6 +186,10 @@ class Monitor:
         if len(alternatives) > self.peak_alternatives:
             self.peak_alternatives = len(alternatives)
         self.verdict = self._assess()
+        bindings = {}
+        for alt in alternatives:
+            bindings.update(alt.env.items)
+        self._bindings = MappingProxyType(bindings)
         self.frontier = None
         if not self.strict:
             topics = set()
@@ -250,11 +255,9 @@ class Monitor:
         )
 
     def bindings(self):
-        """Union of bindings across live alternatives (diagnostic view)."""
-        out = {}
-        for alt in self.alternatives:
-            out.update(alt.env.as_dict())
-        return out
+        """Union of bindings across live alternatives (diagnostic view), read
+        only. It changes only with the alternatives, so it is built there."""
+        return self._bindings
 
 
 @dataclass
@@ -265,7 +268,7 @@ class VerdictEntry:
     verdict: Verdict
     property: str
     live_branches: tuple = ()
-    bindings: dict | None = None
+    bindings: MappingProxyType | None = None
     skipped: bool = False
 
 
@@ -298,7 +301,7 @@ class TraceRunner:
             pid: Monitor(t, topics=spec.topics, strict=strict)
             for pid, t in shadow_terms.items()
         }
-        self.records = []
+        self.last = None  # the latest record, which finish() may still close
 
     def attribution(self):
         if self.which != "merged":
@@ -323,17 +326,18 @@ class TraceRunner:
             bindings=self.monitor.bindings() or None,
             skipped=diag.outcome in ("dropped", "neutral", "decided"),
         )
-        self.records.append(record)
+        self.last = record
         return record
 
     def finish(self):
         """End-of-trace judgment: a still-undecided monitor over a completed,
         nonempty trace never exhibited the fault/attack, so it closes to
-        violated. The raw state verdict is left untouched."""
-        if not self.records:
+        violated, and so does the last record ``feed`` returned. The raw
+        state verdict is left untouched."""
+        if self.last is None:
             return Verdict.UNKNOWN
         if self.monitor.verdict is Verdict.UNKNOWN:
-            self.records[-1].verdict = Verdict.VIOLATED
+            self.last.verdict = Verdict.VIOLATED
             return Verdict.VIOLATED
         return self.monitor.verdict
 
@@ -346,8 +350,7 @@ def run_trace(spec, which, trace, strict=False, close_at_end=True):
     closes to violated, since the trace never satisfied the property.
     """
     runner = TraceRunner(spec, which, strict=strict)
-    for event in trace:
-        runner.feed(event)
+    records = [runner.feed(event) for event in trace]
     final = runner.finish() if close_at_end else runner.monitor.verdict
-    verdicts = [(r.event_index, r.verdict) for r in runner.records]
-    return RunResult(verdicts, runner.records, runner.monitor, final)
+    verdicts = [(r.event_index, r.verdict) for r in records]
+    return RunResult(verdicts, records, runner.monitor, final)

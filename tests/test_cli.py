@@ -1,8 +1,10 @@
+import gc
 import io
 import json
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -156,7 +158,9 @@ def test_run_skips_a_line_with_a_nan_time(tree_path, tmp_path, capsys, caplog):
     capsys.readouterr()
     trace.write_text("\n".join(lines) % "NaN")
     assert main(["run", tree_path, "--trace", str(trace)]) == 0
-    out = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    assert "trace: lines=4 events=3 malformed=1\n" in captured.err
+    out = captured.out.splitlines()
     assert [json.loads(line)["event_index"] for line in out] == [0, 1, 2]
     assert not any("NaN" in line for line in out)
     assert "skipping malformed trace line 3" in caplog.text
@@ -231,7 +235,8 @@ def test_tcp_ingestion_matches_file_ingestion(tree_path, tmp_path, capsys):
 
     thread = threading.Thread(target=serve)
     thread.start()
-    _send_when_listening(port, payload)
+    with _connect_when_listening(port) as conn:
+        conn.sendall(payload)
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert result["code"] == 2
@@ -244,15 +249,128 @@ def _free_port():
         return s.getsockname()[1]
 
 
-def _send_when_listening(port, payload, attempts=100):
+def _connect_when_listening(port, attempts=100):
     for _ in range(attempts):
         try:
-            with socket.create_connection(("127.0.0.1", port), timeout=1) as conn:
-                conn.sendall(payload)
-            return
+            return socket.create_connection(("127.0.0.1", port), timeout=1)
         except OSError:
             time.sleep(0.05)
     raise RuntimeError("server never came up")
+
+
+def _lines_within(path, count, seconds=10.0):
+    """The file's lines once it holds ``count`` of them, or what it holds
+    after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while True:
+        lines = path.read_text().splitlines() if path.exists() else []
+        if len(lines) >= count or time.monotonic() > deadline:
+            return lines
+        time.sleep(0.02)
+
+
+def test_tcp_verdicts_arrive_while_the_sender_holds_the_connection(tree_path, tmp_path):
+    trace = tmp_path / "bad.trace.jsonl"
+    main(["simulate", "fault-moving", "bad", "-o", str(trace)])
+    port = _free_port()
+    out = tmp_path / "tcp.verdicts.jsonl"
+    result = {}
+
+    def serve():
+        result["code"] = main(["run", tree_path, "--listen", str(port), "-o", str(out)])
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        with _connect_when_listening(port) as conn:
+            conn.sendall(trace.read_bytes())
+            # the last event decides (top), so no line waits for the next event
+            lines = _lines_within(out, 4)
+            assert [json.loads(line)["verdict"] for line in lines] == ["?", "?", "?", "top"]
+    finally:
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert result["code"] == 2
+    assert out.read_text().splitlines() == lines
+
+
+class _CountingStdout:
+    """Stands in for stdout: keeps no text, counts writes, flushes and lines."""
+
+    def __init__(self):
+        self.writes = self.flushes = self.lines = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self):
+        self.flushes += 1
+
+
+def _patrol_lines(n):
+    """A move to waypoint 0, then ``n - 1`` low radiation readings and odometry
+    lines, made one at a time."""
+    for i in range(n):
+        if i == 0:
+            yield '{"topic": "/command", "time": 0, "name": "move", "waypoint": 0}\n'
+        elif i % 2:
+            yield '{"topic": "/odom", "time": %.2f, "seq": %d}\n' % (i / 10, i)
+        else:
+            yield ('{"topic": "/radiation_sensor_plugin/sensor_0", "time": %.2f, '
+                   '"value": %d}\n' % (i / 10, 20 + i % 100))
+
+
+def _stdin_run_peak_bytes(tree_path, monkeypatch, events):
+    monkeypatch.setattr("sys.stdin", _patrol_lines(events))
+    out = _CountingStdout()
+    monkeypatch.setattr("sys.stdout", out)
+    gc.collect()  # so that no collection of earlier garbage lands in the run
+    tracemalloc.start()
+    try:
+        assert main(["run", tree_path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.lines == events
+    return peak
+
+
+def test_run_memory_does_not_grow_with_the_stream(tree_path, monkeypatch):
+    _stdin_run_peak_bytes(tree_path, monkeypatch, 200)  # warm lazy imports and caches
+    small = _stdin_run_peak_bytes(tree_path, monkeypatch, 2_000)
+    large = _stdin_run_peak_bytes(tree_path, monkeypatch, 20_000)
+    assert large <= 1.2 * small, (small, large)
+
+
+def test_replay_batches_its_writes(tree_path, tmp_path, monkeypatch):
+    events = 3_000
+    trace = tmp_path / "patrol.trace.jsonl"
+    trace.write_text("".join(_patrol_lines(events)))
+    out = _CountingStdout()
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["run", tree_path, "--trace", str(trace)]) == 0
+    assert out.lines == events
+    assert out.writes <= events / 500 + 2
+
+
+def test_stdin_writes_and_flushes_each_line_as_it_is_final(tree_path, monkeypatch):
+    events = 300
+    out = _CountingStdout()
+    written_before = []  # verdict lines written before each input line is read
+
+    def stdin():
+        for line in _patrol_lines(events):
+            written_before.append(out.lines)
+            yield line
+
+    monkeypatch.setattr("sys.stdin", stdin())
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["run", tree_path]) == 0
+    assert (out.writes, out.flushes, out.lines) == (events, events, events)
+    # every line is `?`, held only until the next event is read
+    assert written_before == [max(0, i - 1) for i in range(events)]
 
 
 def test_bench_minimal(tree_path, capsys):
@@ -271,6 +389,33 @@ def test_stdin_stream_matches_file_stream_byte_for_byte(tree_path, tmp_path, mon
     monkeypatch.setattr("sys.stdin", io.StringIO(trace.read_text()))
     main(["run", tree_path, "-o", str(stdin_out)])
     assert stdin_out.read_bytes() == file_out.read_bytes()
+
+
+def test_stdin_run_closes_the_held_last_line_at_the_end_of_the_input(tree_path, tmp_path,
+                                                                     monkeypatch, capsys):
+    """The merged monitor is still `?` after the last event of a good trace;
+    the end of the input closes it, and the last line says so."""
+    trace = tmp_path / "good.trace.jsonl"
+    main(["simulate", "fault-moving", "good", "-o", str(trace)])
+    monkeypatch.setattr("sys.stdin", io.StringIO(trace.read_text()))
+    assert main(["run", tree_path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["verdict"] for line in out] == ["?", "?", "?", "bottom"]
+
+
+def test_run_all_from_stdin_matches_all_from_a_file(tree_path, tmp_path, monkeypatch):
+    trace = tmp_path / "t.trace.jsonl"
+    main(["simulate", "attack-moving", "bad", "--noise", "20", "-o", str(trace)])
+    (tmp_path / "file").mkdir()
+    (tmp_path / "stdin").mkdir()
+    assert main(["run", tree_path, "--trace", str(trace), "--property", "all",
+                 "-o", str(tmp_path / "file" / "v.jsonl")]) == 2
+    monkeypatch.setattr("sys.stdin", io.StringIO(trace.read_text()))
+    assert main(["run", tree_path, "--property", "all",
+                 "-o", str(tmp_path / "stdin" / "v.jsonl")]) == 2
+    produced = {p.name: p.read_bytes() for p in (tmp_path / "file").iterdir()}
+    assert len(produced) == 5
+    assert {p.name: p.read_bytes() for p in (tmp_path / "stdin").iterdir()} == produced
 
 
 @pytest.mark.parametrize("scenario,branch", [

@@ -311,7 +311,8 @@ def test_frontier_looks_past_a_check_and_a_nullable_head():
 
 def _replay(term, trace, strict):
     """Per step: outcome, notes, alternatives, verdict and skip count; and
-    how many steps met an event off the frontier."""
+    how many steps met an event off the frontier. After every step the
+    cached bindings equal those merged afresh from the alternatives."""
     m = Monitor(term, strict=strict)
     rows = []
     off_frontier = 0
@@ -319,6 +320,7 @@ def _replay(term, trace, strict):
         off_frontier += (m.verdict is Verdict.UNKNOWN and m.frontier is not None
                          and ev.get("topic") not in m.frontier)
         diag = m.step(ev)
+        assert m.bindings() == {k: v for a in m.alternatives for k, v in a.env.items}
         rows.append((diag.outcome, diag.notes, tuple(m.alternatives), m.verdict, m.skipped))
     return rows, off_frontier
 
@@ -347,3 +349,16 @@ def test_frontier_skip_matches_full_derivation_and_oracle(strict, monkeypatch):
         assert skipped == 0
     else:
         assert skipped > 100  # the fast path is exercised, not bypassed
+
+
+def test_bindings_are_read_only_and_kept_while_the_alternatives_are():
+    ann = EventAnnotation("a", (("topic", "t_a"), ("x", Bind("X"))))
+    m = Monitor(Seq(Atom(ann), B))
+    assert m.bindings() == {}
+    m.step({"topic": "t_a", "x": 3.0})
+    view = m.bindings()
+    assert view == {"X": 3.0}
+    with pytest.raises(TypeError):
+        view["X"] = 4.0
+    assert m.step(EC).outcome == "neutral"
+    assert m.bindings() is view
