@@ -32,6 +32,7 @@ from .fileformat import (
     parse_tree,
     read_trace,
     serialize_tree,
+    verdict_record_body,
     verdict_record_line,
 )
 from .model import annotate as annotate_node, prune, validate
@@ -143,6 +144,13 @@ def _events_from_tcp(port, stats):
 REPLAY_BATCH_LINES = 1000
 
 
+def _same_bindings(a, b):
+    """Do two records' bindings give the same line? Equal values of another
+    type do not: ``True == 1.0``, but one is written ``true``, the other
+    ``1``."""
+    return a is b or (a == b and all(type(v) is type(b[k]) for k, v in a.items()))
+
+
 class _VerdictWriter:
     """Writes one runner's verdict lines to ``out`` as soon as each is final,
     ``batch`` lines per write and flush.
@@ -150,6 +158,11 @@ class _VerdictWriter:
     A ``?`` line is held until the next event arrives or the input ends: at
     the end ``TraceRunner.finish`` may still close it to ``bottom``. A
     ``top`` or ``bottom`` line is final at once, since the verdict is sticky.
+
+    The body of the last line written (everything after ``event_index``) is
+    kept with the state it was built from, and reused while the next
+    record's state is equal by value, so a line is built once per monitor
+    state rather than once per event.
     """
 
     def __init__(self, out, batch):
@@ -157,6 +170,9 @@ class _VerdictWriter:
         self.batch = batch
         self.held = None
         self.pending = []
+        self.state = None  # (verdict, property, live_branches, skipped) of body
+        self.bindings = None  # the bindings body was built from
+        self.body = None
 
     def push(self, record):
         if self.held is not None:
@@ -174,7 +190,11 @@ class _VerdictWriter:
             self._drain()
 
     def _emit(self, record):
-        self.pending.append(verdict_record_line(record) + "\n")
+        state = (record.verdict, record.property, record.live_branches, record.skipped)
+        if state != self.state or not _same_bindings(record.bindings, self.bindings):
+            self.state, self.bindings = state, record.bindings
+            self.body = verdict_record_body(record)
+        self.pending.append(verdict_record_line(record, self.body) + "\n")
         if len(self.pending) >= self.batch:
             self._drain()
 
@@ -192,7 +212,7 @@ def cmd_run(args):
     spec = compile_tree(tree, do_merge=True)
     if args.property == "all":
         selectors = list(spec.property_ids()) + ["merged"]
-        if not args.output:
+        if not args.output or args.output == "-":
             print("--property all needs -o (one verdict file per property)", file=sys.stderr)
             return 1
     else:

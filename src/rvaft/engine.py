@@ -280,6 +280,10 @@ class RunResult:
     final_verdict: Verdict
 
 
+# The step outcomes after which a monitor's alternatives were replaced.
+_REPLACED = frozenset({"progressed", "eliminated"})
+
+
 class TraceRunner:
     """Advances a property monitor plus shadow branch monitors for attribution."""
 
@@ -315,15 +319,26 @@ class TraceRunner:
         )
 
     def feed(self, event):
+        """Step every monitor and return the event's record. Attribution and
+        bindings change only when some monitor's alternatives do, so on any
+        other event the previous record's are handed on."""
         diag = self.monitor.step(event)
+        changed = diag.outcome in _REPLACED
         for shadow in self.shadows.values():
-            shadow.step(event)
+            if shadow.step(event).outcome in _REPLACED:
+                changed = True
+        if changed or self.last is None:
+            live_branches = self.attribution()
+            bindings = self.monitor.bindings() or None
+        else:
+            live_branches = self.last.live_branches
+            bindings = self.last.bindings
         record = VerdictEntry(
             event_index=diag.event_index,
             verdict=self.monitor.verdict,
             property=self.which,
-            live_branches=self.attribution(),
-            bindings=self.monitor.bindings() or None,
+            live_branches=live_branches,
+            bindings=bindings,
             skipped=diag.outcome in ("dropped", "neutral", "decided"),
         )
         self.last = record

@@ -442,10 +442,17 @@ def format_event(event):
 # Verdict records
 # ---------------------------------------------------------------------------
 
-def verdict_record_line(entry):
-    """Serialize one verdict row as a JSONL line."""
+# A line's members are, in this order: event_index, verdict, property,
+# live_branches, skipped and, when some binding is set, bindings. Everything
+# after event_index is the body, which depends only on the monitor's state.
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def verdict_record_body(entry):
+    """Every member of a verdict line after ``event_index``, up to and with
+    the closing brace. Only scalar bindings are written, and an
+    integer-valued float as an integer."""
     out = {
-        "event_index": entry.event_index,
         "verdict": entry.verdict.value,
         "property": entry.property,
         "live_branches": sorted(entry.live_branches),
@@ -457,7 +464,15 @@ def verdict_record_line(entry):
             for k, v in sorted(entry.bindings.items())
             if isinstance(v, (float, str, bool))
         }
-    return json.dumps(out, ensure_ascii=False)
+    return _RECORD_ENCODER.encode(out)[1:]
+
+
+def verdict_record_line(entry, body=None):
+    """Serialize one verdict row as a JSONL line. ``body`` is
+    ``verdict_record_body(entry)``, built here when not given."""
+    if body is None:
+        body = verdict_record_body(entry)
+    return '{"event_index": ' + str(entry.event_index) + ", " + body
 
 
 # ---------------------------------------------------------------------------

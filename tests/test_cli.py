@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import random
 import socket
 import threading
 import time
@@ -10,9 +11,16 @@ import pytest
 
 from conftest import CASES
 
+from rvaft import cli
 from rvaft.cli import main
 from rvaft.casestudy import pruned_tree
-from rvaft.fileformat import parse_tree, serialize_tree
+from rvaft.engine import Verdict, VerdictEntry
+from rvaft.fileformat import (
+    parse_tree,
+    serialize_tree,
+    verdict_record_body,
+    verdict_record_line,
+)
 
 
 @pytest.fixture(scope="module")
@@ -206,8 +214,15 @@ def test_run_all_properties_writes_per_property_files(tree_path, tmp_path):
     assert phi3[-1]["verdict"] == "top"
 
 
-def test_run_all_without_output_is_usage_error(tree_path, capsys):
-    assert main(["run", tree_path, "--property", "all", "--trace", "/dev/null"]) == 1
+def test_run_all_without_output_is_usage_error(tree_path, tmp_path, monkeypatch, capsys):
+    # `-o -` would name every property's file after "-"
+    monkeypatch.chdir(tmp_path)
+    for output in ([], ["-o", "-"]):
+        argv = ["run", tree_path, "--property", "all", "--trace", "/dev/null"] + output
+        assert main(argv) == 1, output
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, output
+        assert list(tmp_path.iterdir()) == [], output
 
 
 def test_run_unknown_property(tree_path, tmp_path, capsys):
@@ -353,6 +368,78 @@ def test_replay_batches_its_writes(tree_path, tmp_path, monkeypatch):
     assert main(["run", tree_path, "--trace", str(trace)]) == 0
     assert out.lines == events
     assert out.writes <= events / 500 + 2
+
+
+# Bindings a record may carry: non-ASCII strings, integer-valued floats,
+# tuple and dict values (which a line leaves out), and `True` next to `1.0`,
+# which are equal in Python but written differently.
+_BINDINGS = (
+    None,
+    {"Wp": 2.0, "T1": 16.1},
+    {"Wp": "entrée", "Name": "π ≥ 3"},
+    {"X": True},
+    {"X": 1.0},
+    {"Path": (1.0, 2.0), "Pose": {"x": 1.0}, "T": 3.5},
+)
+
+
+def _writer_records(seed, n=600):
+    """Seeded records in runs that hand on one state's objects, as
+    `TraceRunner.feed` does, broken by a change of one member or by bindings
+    that are equal but fresh objects. The last record is a `?` with the
+    state of the one before it."""
+    rng = random.Random(seed)
+    state = {"verdict": Verdict.UNKNOWN, "property": "merged",
+             "live_branches": ("phi1", "phi2"), "skipped": True, "bindings": None}
+    choices = {
+        "verdict": list(Verdict),
+        "property": ["merged", "phi1", "phi2"],
+        "live_branches": [(), ("phi1",), ("phi1", "phi2"), ("phi2", "phi3", "phi4")],
+        "skipped": [False, True],
+        "bindings": list(_BINDINGS),
+    }
+    records = []
+    for i in range(n):
+        roll = rng.random() if i < n - 2 else 1.0
+        if roll < 0.15:
+            member = rng.choice(sorted(choices))
+            value = rng.choice(choices[member])
+            state[member] = dict(value) if isinstance(value, dict) else value
+        elif roll < 0.25 and state["bindings"] is not None:
+            state["bindings"] = dict(state["bindings"])
+        if i == n - 2:
+            state["verdict"] = Verdict.UNKNOWN
+        records.append(VerdictEntry(event_index=i, **state))
+    return records
+
+
+@pytest.mark.parametrize("batch", [1, 1000])
+def test_writer_output_equals_a_line_built_afresh_per_record(batch, monkeypatch):
+    """The writer writes the bytes that building every line afresh gives,
+    and builds a line's body once per change of state by value: not for
+    equal bindings in fresh objects, but again for a held `?` line that the
+    end of the input closes to `bottom`."""
+    built = []
+
+    def counted_body(record):
+        built.append(record.event_index)
+        return verdict_record_body(record)
+
+    monkeypatch.setattr(cli, "verdict_record_body", counted_body)
+    for seed in range(20):
+        records = _writer_records(seed)
+        out = io.StringIO()
+        writer = cli._VerdictWriter(out, batch)
+        built.clear()
+        for record in records:
+            writer.push(record)
+        records[-1].verdict = Verdict.VIOLATED  # what TraceRunner.finish does
+        writer.close()
+        assert out.getvalue() == "".join(verdict_record_line(r) + "\n" for r in records)
+        bodies = [verdict_record_body(r) for r in records]
+        changes = sum(a != b for a, b in zip(bodies, bodies[1:]))
+        assert len(built) == 1 + changes
+        assert built[-1] == records[-1].event_index
 
 
 def test_stdin_writes_and_flushes_each_line_as_it_is_final(tree_path, monkeypatch):

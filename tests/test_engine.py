@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from conftest import SCENARIO_PROPERTY, gen_term, gen_trace, plain_atom, plain_e
 
 from rvaft import engine
 from rvaft.casestudy import interleave, noise_events, scenario_events
+from rvaft.compiler import BranchProperty, MonitorSpec
 from rvaft.engine import Monitor, TraceRunner, Verdict, run_trace
 from rvaft.errors import UnknownPropertyError
 from rvaft.fileformat import parse_guard
@@ -23,6 +25,7 @@ from rvaft.terms import (
     Shuffle,
     Union,
     normalize_event,
+    union,
 )
 
 A, B, C = (plain_atom(x) for x in "abc")
@@ -309,18 +312,39 @@ def test_frontier_looks_past_a_check_and_a_nullable_head():
     assert Monitor(Shuffle(Seq(A, B), C)).frontier == {"t_a", "t_c"}
 
 
-def _replay(term, trace, strict):
-    """Per step: outcome, notes, alternatives, verdict and skip count; and
-    how many steps met an event off the frontier. After every step the
-    cached bindings equal those merged afresh from the alternatives."""
-    m = Monitor(term, strict=strict)
+def _spec(*terms):
+    """A spec with no topic filter whose branches phi1, phi2, ... are
+    ``terms`` and whose merged term is their union."""
+    props = tuple(BranchProperty(f"phi{i}", (), "fault", term, ())
+                  for i, term in enumerate(terms, 1))
+    return MonitorSpec("random", props, functools.reduce(union, terms), None)
+
+
+def _replay(spec, which, trace, strict):
+    """Per step of the ``which`` runner's monitor: outcome, notes,
+    alternatives, verdict and skip count; and how many steps met an event off
+    the frontier. After every event the cached bindings equal those merged
+    afresh from the alternatives, and the record `feed` returned carries the
+    attribution and bindings computed afresh."""
+    runner = TraceRunner(spec, which, strict=strict)
+    m = runner.monitor
+    diags = []
+
+    def step(event, step=m.step):
+        diags.append(step(event))
+        return diags[-1]
+
+    m.step = step
     rows = []
     off_frontier = 0
     for ev in trace:
         off_frontier += (m.verdict is Verdict.UNKNOWN and m.frontier is not None
                          and ev.get("topic") not in m.frontier)
-        diag = m.step(ev)
+        record = runner.feed(ev)
         assert m.bindings() == {k: v for a in m.alternatives for k, v in a.env.items}
+        assert record.live_branches == runner.attribution()
+        assert record.bindings == (m.bindings() or None)
+        diag = diags[-1]
         rows.append((diag.outcome, diag.notes, tuple(m.alternatives), m.verdict, m.skipped))
     return rows, off_frontier
 
@@ -336,11 +360,11 @@ def test_frontier_skip_matches_full_derivation_and_oracle(strict, monkeypatch):
     for _ in range(400):
         term, _ = gen_term(rng, wild=True)
         trace = gen_trace(rng, wild=True)
-        fast, off_frontier = _replay(term, trace, strict)
+        fast, off_frontier = _replay(_spec(term), "phi1", trace, strict)
         skipped += off_frontier
         with monkeypatch.context() as patched:
             patched.setattr(engine, "_frontier", lambda _term, _out: False)
-            full, _ = _replay(term, trace, strict)
+            full, _ = _replay(_spec(term), "phi1", trace, strict)
         assert fast == full, (term, trace)
         if not strict:
             verdict = fast[-1][3] if fast else Monitor(term).verdict
@@ -349,6 +373,31 @@ def test_frontier_skip_matches_full_derivation_and_oracle(strict, monkeypatch):
         assert skipped == 0
     else:
         assert skipped > 100  # the fast path is exercised, not bypassed
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_records_carry_fresh_attribution_and_bindings(strict, spec, traces):
+    """`feed` hands on the previous record's attribution and bindings unless
+    some monitor's alternatives changed; at every event, for the merged
+    monitor and every branch, they equal those computed afresh. Streams: the
+    scenario traces, noisy interleavings of the bad ones, and wild random
+    terms and traces."""
+    streams = [(spec, trace) for outcomes in traces.values() for trace in outcomes.values()]
+    rng = random.Random(40412)
+    for scenario in SCENARIO_PROPERTY:
+        for _ in range(10):
+            noise = [
+                dict(normalize_event(e), topic=normalize_event(e)["topic"].lstrip("/"))
+                for e in noise_events(rng.randrange(21), rng)
+            ]
+            streams.append((spec, interleave(traces[scenario]["bad"], noise, rng)))
+    rng = random.Random(8086)
+    for _ in range(150):
+        terms = [gen_term(rng, wild=True)[0] for _ in range(3)]
+        streams.append((_spec(*terms), gen_trace(rng, wild=True)))
+    for stream_spec, trace in streams:
+        for which in ("merged",) + stream_spec.property_ids():
+            _replay(stream_spec, which, trace, strict)
 
 
 def test_bindings_are_read_only_and_kept_while_the_alternatives_are():
