@@ -22,7 +22,6 @@ from .fileformat import (
     serialize_tree,
 )
 from .model import GateSpec, RvaftNode, RvaftTree, Violation, annotate, prune, validate
-from .oracle import language, oracle_verdict
 from .terms import (
     Atom,
     Bind,
@@ -48,8 +47,8 @@ __all__ = [
     "EventAnnotation", "GateSpec", "Let", "Monitor", "MonitorSpec", "RunResult",
     "RvaftError", "RvaftNode", "RvaftTree", "Seq", "Shuffle", "Term",
     "TraceRunner", "Union", "Verdict", "Violation", "annotate", "compile_tree",
-    "decompose", "emit_spec", "eval_guard", "language", "match_event",
-    "merge", "nullable", "oracle_verdict", "parse_guard", "parse_tree",
+    "decompose", "emit_spec", "eval_guard", "match_event",
+    "merge", "nullable", "parse_guard", "parse_tree",
     "print_guard", "prune", "read_trace", "run_trace", "serialize_tree",
     "translate_and", "translate_or", "translate_sand", "translate_vot",
     "validate",

@@ -1,5 +1,5 @@
 """Command-line surface: validate, prune, annotate, branches, compile, run,
-simulate, bench.
+simulate.
 
 Exit codes: 0 no detection (verdict stayed violated/unknown), 1 usage or
 input error, 2 detection (the monitored fault/attack was observed). The
@@ -15,14 +15,11 @@ import json
 import logging
 import os
 import random
-import socket
-import statistics
 import sys
-import time
 
 from . import casestudy
 from .compiler import compile_tree
-from .engine import Monitor, TraceRunner, Verdict
+from .engine import TraceRunner, Verdict
 from .errors import RvaftError
 from .fileformat import (
     TraceStats,
@@ -36,7 +33,7 @@ from .fileformat import (
     verdict_record_line,
 )
 from .model import annotate as annotate_node, prune, validate
-from .terms import Bind, EventAnnotation, normalize_event, normalize_value
+from .terms import Bind, EventAnnotation, normalize_value
 
 log = logging.getLogger("rvaft")
 
@@ -122,8 +119,10 @@ def cmd_compile(args):
     return 0
 
 
-def _events_from_tcp(port, stats):
+def _events_from_tcp(port, stats, fields):
     """Minimal live-stream contract: one JSONL connection at a time."""
+    import socket
+
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind(("127.0.0.1", port))
@@ -133,7 +132,7 @@ def _events_from_tcp(port, stats):
     log.info("connection from %s:%d", *peer)
     try:
         with conn.makefile("rb") as fh:
-            yield from read_trace(fh, stats)
+            yield from read_trace(fh, stats, fields)
     finally:
         conn.close()
         server.close()
@@ -222,12 +221,13 @@ def cmd_run(args):
     stats = TraceStats()
     with contextlib.ExitStack() as stack:
         if args.trace:
-            events = read_trace(stack.enter_context(open(args.trace, "rb")), stats)
+            events = read_trace(stack.enter_context(open(args.trace, "rb")), stats,
+                                spec.fields)
         elif args.listen is not None:
             events = stack.enter_context(
-                contextlib.closing(_events_from_tcp(args.listen, stats)))
+                contextlib.closing(_events_from_tcp(args.listen, stats, spec.fields)))
         else:
-            events = read_trace(sys.stdin, stats)
+            events = read_trace(sys.stdin, stats, spec.fields)
         batch = REPLAY_BATCH_LINES if args.trace else 1
         writers = []
         for which in selectors:
@@ -240,9 +240,10 @@ def cmd_run(args):
             else:
                 out = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
             writers.append(_VerdictWriter(out, batch))
+        steps = [(runner.feed, writer.push) for runner, writer in zip(runners, writers)]
         for event in events:
-            for runner, writer in zip(runners, writers):
-                writer.push(runner.feed(event))
+            for feed, push in steps:
+                push(feed(event))
         finals = [runner.finish() for runner in runners]
         for writer in writers:
             writer.close()
@@ -269,100 +270,6 @@ def cmd_simulate(args):
         rng = random.Random(args.seed)
         trace = casestudy.interleave(trace, casestudy.noise_events(args.noise, rng), rng)
     _write_text(args.output, "".join(format_event(ev) + "\n" for ev in trace))
-    return 0
-
-
-def _bench_stream(n, rng):
-    """Noise-heavy stream: idle chatter, low radiation, occasional arrivals."""
-    out = []
-    t = 0.0
-    for _ in range(n):
-        t += rng.uniform(0.01, 0.2)
-        roll = rng.random()
-        if roll < 0.55:
-            out.append({"topic": "radiation_sensor_plugin/sensor_0",
-                        "value": round(rng.uniform(10.0, 200.0), 1), "time": round(t, 3)})
-        elif roll < 0.85:
-            out.append({"topic": "odom", "time": round(t, 3), "seq": rng.randrange(10**6)})
-        else:
-            out.append({"topic": "move_base/result", "time": round(t, 3),
-                        "waypoint": rng.randrange(4), "result": "success"})
-    return [normalize_event(ev) for ev in out]
-
-
-def bench_report(spec, lengths, seed=0, repetitions=5):
-    """Per-length mean/percentile per-event cost of the merged monitor.
-
-    Each length runs several times and keeps its least-noisy (fastest mean)
-    repetition; the collector is paused while sampling so its pauses don't
-    land on arbitrary events. The streams are generated first and the
-    repetitions go round-robin over the lengths, so a drift in host speed
-    reaches every length alike instead of passing for a length effect.
-    """
-    import gc
-
-    rng = random.Random(seed)
-    warm = Monitor(spec.merged, topics=spec.topics)
-    for event in _bench_stream(2000, random.Random(seed + 1)):
-        warm.step(event)
-    streams = [_bench_stream(n, rng) for n in lengths]
-    best = [None] * len(streams)
-    for _ in range(repetitions):
-        for i, stream in enumerate(streams):
-            monitor = Monitor(spec.merged, topics=spec.topics)
-            samples = []
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                for event in stream:
-                    t0 = time.perf_counter_ns()
-                    monitor.step(event)
-                    samples.append(time.perf_counter_ns() - t0)
-                elapsed = time.perf_counter() - start
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            mean_us = statistics.fmean(samples) / 1000.0
-            if best[i] is None or mean_us < best[i][0]:
-                best[i] = (mean_us, elapsed, samples, monitor.peak_alternatives)
-    rows = []
-    for n, (mean_us, elapsed, samples, peak) in zip(lengths, best):
-        samples.sort()
-
-        def pct(q):
-            return samples[min(len(samples) - 1, int(q * len(samples)))] / 1000.0
-
-        rows.append({
-            "events": n,
-            "events_per_s": n / elapsed,
-            "mean_us": mean_us,
-            "p50_us": pct(0.50),
-            "p95_us": pct(0.95),
-            "p99_us": pct(0.99),
-            "peak_alternatives": peak,
-        })
-    means = [r["mean_us"] for r in rows]
-    flatness = max(means) / min(means) if min(means) > 0 else float("inf")
-    return rows, flatness
-
-
-def cmd_bench(args):
-    tree = _load_tree(args.tree)
-    spec = compile_tree(tree, do_merge=True)
-    lengths = (
-        [int(x) for x in args.trace_lengths.split(",")]
-        if args.trace_lengths
-        else [args.events]
-    )
-    rows, flatness = bench_report(spec, lengths, seed=args.seed)
-    print(f"{'events':>8}  {'events/s':>10}  {'mean us':>8}  {'p50 us':>7}  "
-          f"{'p95 us':>7}  {'p99 us':>7}  {'peak alts':>9}")
-    for r in rows:
-        print(f"{r['events']:>8}  {r['events_per_s']:>10.0f}  {r['mean_us']:>8.2f}  "
-              f"{r['p50_us']:>7.2f}  {r['p95_us']:>7.2f}  {r['p99_us']:>7.2f}  "
-              f"{r['peak_alternatives']:>9}")
-    print(f"flatness ratio (max mean / min mean): {flatness:.3f}")
     return 0
 
 
@@ -430,13 +337,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("bench", help="throughput and per-event cost")
-    p.add_argument("tree")
-    p.add_argument("--events", type=int, default=10000)
-    p.add_argument("--trace-lengths", help="comma-separated stream lengths")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -26,6 +26,7 @@ from .terms import (
     Shuffle,
     Term,
     Union,
+    iter_atoms,
     seq,
     seq_all,
     term_bind_vars,
@@ -170,6 +171,10 @@ class MonitorSpec:
     merged: Term | None
     topics: frozenset
     verdict_polarity: str = "satisfaction-is-detection"
+    # Per literal topic, the event keys that some atom on it reads; None when
+    # some atom's topic is not a literal string, so any key of any event may
+    # be read.
+    fields: dict | None = None
 
     def property_ids(self):
         return tuple(p.id for p in self.properties)
@@ -374,16 +379,32 @@ def merge(tree):
     ))[0]
 
 
+def read_fields(terms):
+    """Per literal topic, the pattern keys its atoms read in ``terms``, or
+    None when some atom's topic is not a literal string."""
+    fields = {}
+    for term in terms:
+        for ann in iter_atoms(term):
+            topic = ann.topic()
+            if not isinstance(topic, str):
+                return None
+            fields.setdefault(topic, set()).update(key for key, _ in ann.pattern)
+    return {topic: frozenset(keys) for topic, keys in fields.items()}
+
+
 def compile_tree(tree, do_merge=True):
-    """Full compilation: branch properties, optional merged term, topic set."""
+    """Full compilation: branch properties, optional merged term, topic set
+    and the event keys read on each topic."""
     props = decompose(tree)
     merged = merge(tree) if do_merge else None
     topics = set()
     for p in props:
         topics |= term_topics(p.term)
+    terms = [p.term for p in props] + ([merged] if merged is not None else [])
     return MonitorSpec(
         name=tree.name,
         properties=tuple(props),
         merged=merged,
         topics=frozenset(topics),
+        fields=read_fields(terms),
     )

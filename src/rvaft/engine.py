@@ -56,11 +56,16 @@ class Alternative:
     trail: tuple = ()  # (event_index, atom_name) pairs, for diagnostics
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class StepDiagnostics:
-    event_index: int
     outcome: str  # progressed | eliminated | neutral | dropped | decided
     notes: tuple = ()
+
+
+# The steps that change nothing and note nothing share one record each.
+_DECIDED = StepDiagnostics("decided")
+_DROPPED = StepDiagnostics("dropped")
+_NEUTRAL = StepDiagnostics("neutral")
 
 
 def _derive(term, env, ev, idx):
@@ -166,12 +171,26 @@ class Monitor:
     always in strict mode). An event off the frontier matches no atom that
     ``_derive`` would reach, so it can neither progress an alternative nor
     fail a guard: it is neutral, and ``step`` returns without deriving.
+
+    Both checks are one lookup of the event's topic in ``_route``, built with
+    the frontier: it maps every spelling of a subscribed topic (``t`` and
+    ``/t``, which ``canonical_topic`` maps to ``t``) to the neutral outcome
+    or, on the frontier, to None (derive). Any other topic gets
+    ``_unrouted``: dropped under a topic filter, else neutral while there is
+    a frontier, else None.
     """
 
     def __init__(self, term, topics=None, strict=False):
         check_term(term)
         self.term = term
         self.topics = frozenset(topics) if topics is not None else None
+        self._spellings = None
+        if self.topics is not None:
+            self._spellings = frozenset(
+                s for t in self.topics
+                for s in ((t, "/" + t) if isinstance(t, str) else (t,))
+                if canonical_topic(s) in self.topics
+            )
         self.strict = strict
         self.events_seen = 0
         self.skipped = 0
@@ -195,6 +214,17 @@ class Monitor:
             topics = set()
             if all(_frontier(a.term, topics) for a in alternatives):
                 self.frontier = frozenset(topics)
+        frontier = self.frontier
+        if self._spellings is None:
+            self._route = dict.fromkeys(frontier or (), None)
+            self._unrouted = None if frontier is None else _NEUTRAL
+        else:
+            self._route = {
+                s: None if frontier is None or (isinstance(s, str) and s in frontier)
+                else _NEUTRAL
+                for s in self._spellings
+            }
+            self._unrouted = _DROPPED
 
     def _assess(self):
         if any(nullable(a.term, a.env) for a in self.alternatives):
@@ -208,16 +238,17 @@ class Monitor:
         idx = self.events_seen
         self.events_seen += 1
         if self.verdict is not Verdict.UNKNOWN:
-            return StepDiagnostics(idx, "decided")
+            return _DECIDED
         topic = event.get("topic")
-        if self.topics is not None and canonical_topic(topic) not in self.topics:
+        try:
+            skip = self._route.get(topic, self._unrouted)
+        except TypeError:  # an unhashable topic, on no subscribed topic
+            if self._spellings is not None:
+                raise
+            skip = self._unrouted
+        if skip is not None:
             self.skipped += 1
-            return StepDiagnostics(idx, "dropped")
-        if self.frontier is not None and not (
-            isinstance(topic, str) and topic in self.frontier
-        ):
-            self.skipped += 1
-            return StepDiagnostics(idx, "neutral")
+            return skip
 
         successors = []  # per alternative, what replaces it
         notes = []
@@ -242,7 +273,7 @@ class Monitor:
             # Nothing changed: the alternatives are already distinct and the
             # verdict still holds.
             self.skipped += 1
-            return StepDiagnostics(idx, "neutral", tuple(notes))
+            return StepDiagnostics("neutral", tuple(notes)) if notes else _NEUTRAL
 
         new_alts = []
         for cands in successors:
@@ -250,9 +281,7 @@ class Monitor:
                 if not any(c.term == cand.term and c.env == cand.env for c in new_alts):
                     new_alts.append(cand)
         self._replace_alternatives(new_alts)
-        return StepDiagnostics(
-            idx, "progressed" if new_alts else "eliminated", tuple(notes)
-        )
+        return StepDiagnostics("progressed" if new_alts else "eliminated", tuple(notes))
 
     def bindings(self):
         """Union of bindings across live alternatives (diagnostic view), read
@@ -260,7 +289,7 @@ class Monitor:
         return self._bindings
 
 
-@dataclass
+@dataclass(slots=True)
 class VerdictEntry:
     """One output row per input event."""
 
@@ -280,8 +309,10 @@ class RunResult:
     final_verdict: Verdict
 
 
-# The step outcomes after which a monitor's alternatives were replaced.
+# The step outcomes after which a monitor's alternatives were replaced, and
+# those that left it as it was.
 _REPLACED = frozenset({"progressed", "eliminated"})
+_SKIPPED = frozenset({"dropped", "neutral", "decided"})
 
 
 class TraceRunner:
@@ -334,12 +365,12 @@ class TraceRunner:
             live_branches = self.last.live_branches
             bindings = self.last.bindings
         record = VerdictEntry(
-            event_index=diag.event_index,
+            event_index=self.monitor.events_seen - 1,
             verdict=self.monitor.verdict,
             property=self.which,
             live_branches=live_branches,
             bindings=bindings,
-            skipped=diag.outcome in ("dropped", "neutral", "decided"),
+            skipped=diag.outcome in _SKIPPED,
         )
         self.last = record
         return record

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import re
 from dataclasses import dataclass
 
 from .errors import GuardParseError, SchemaError, TreeParseError
@@ -392,17 +393,58 @@ class TraceStats:
     malformed: int = 0
 
 
-def read_trace(stream, stats=None):
+# A line this short, in which no "e" is followed by a digit or a sign and no
+# "E" appears, holds no exponent: it can hold neither a number too large for
+# a double (that takes 309 digits or an exponent) nor nesting deep enough to
+# exhaust the stack, so its only non-finite numbers are the constants that
+# the field reader's decoder refuses while it parses.
+_SHORT_LINE = 300
+_EXPONENT = re.compile(r"e[-+0-9]")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not a finite number: {name}")
+
+
+_FIELD_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def _field_event(line, keys):
+    """The event of a short line without an exponent: its topic plus the
+    keys that ``keys`` lists for that topic. None when the line is malformed,
+    so that reading it in full names the fault."""
+    try:
+        raw, end = _FIELD_DECODER.raw_decode(line)  # the line starts with no space
+        topic = raw.get("topic") if end == len(line) and isinstance(raw, dict) else None
+        if not isinstance(topic, str):
+            return None
+        event = {"topic": canonical_topic(topic)}
+        for key in keys.get(event["topic"], ()):
+            if key in raw:
+                event[key] = normalize_value(raw[key])
+        return event
+    except (ValueError, TypeError, RecursionError):
+        return None
+
+
+def read_trace(stream, stats=None, fields=None):
     """Yield events from a JSONL stream in order; malformed lines are counted
     and skipped with a warning, never aborting the stream. A line is malformed
     when it is not a JSON object with a string ``topic``, is nested too
     deeply, or holds a number that is not a finite double (NaN, Infinity or
-    an overflowing literal)."""
+    an overflowing literal).
+
+    ``fields`` maps a topic to the keys that some monitor reads on it (see
+    ``MonitorSpec.fields``). When given, an event holds its topic and only
+    those keys of that topic; which lines are malformed, and the warnings,
+    stay the same."""
     stats = stats if stats is not None else TraceStats()
     if isinstance(stream, (bytes, str)):
         stream = io.StringIO(
             stream.decode("utf-8") if isinstance(stream, bytes) else stream
         )
+    if fields is not None:
+        keys = {t: tuple(k for k in ks if k != "topic") for t, ks in fields.items()}
     for line in stream:
         if isinstance(line, bytes):
             line = line.decode("utf-8", errors="replace")
@@ -410,16 +452,24 @@ def read_trace(stream, stats=None):
         if not line:
             continue
         stats.lines += 1
-        try:
-            raw = json.loads(line)
-            if not isinstance(raw, dict) or not isinstance(raw.get("topic"), str):
-                raise ValueError("record needs a string 'topic'")
-            event = normalize_event(raw)
-            event["topic"] = canonical_topic(event["topic"])
-        except (ValueError, TypeError, RecursionError) as exc:
-            stats.malformed += 1
-            log.warning("skipping malformed trace line %d: %s", stats.lines, exc)
-            continue
+        event = None
+        if (fields is not None and len(line) <= _SHORT_LINE
+                and not _EXPONENT.search(line) and "E" not in line):
+            event = _field_event(line, keys)
+        if event is None:
+            try:
+                raw = json.loads(line)
+                if not isinstance(raw, dict) or not isinstance(raw.get("topic"), str):
+                    raise ValueError("record needs a string 'topic'")
+                event = normalize_event(raw)
+                event["topic"] = canonical_topic(event["topic"])
+            except (ValueError, TypeError, RecursionError) as exc:
+                stats.malformed += 1
+                log.warning("skipping malformed trace line %d: %s", stats.lines, exc)
+                continue
+            if fields is not None:
+                read = keys.get(event["topic"], ())
+                event = {k: v for k, v in event.items() if k == "topic" or k in read}
         stats.events += 1
         yield event
 

@@ -3,14 +3,15 @@
 Run with `pytest tests/test_acceptance.py -s` to see the PASS/FAIL lines.
 """
 
+import gc
 import itertools
 import random
+import statistics
 import time
 
 from conftest import SCENARIO_PROPERTY, gen_term, gen_trace, plain_atom, plain_event
 
 from rvaft.casestudy import interleave, noise_events, pruned_tree, scenario_events
-from rvaft.cli import bench_report
 from rvaft.compiler import (
     compile_tree,
     decompose,
@@ -169,6 +170,64 @@ def test_c7_decomposition_and_merge_language():
     ok &= merged_lang == union_lang and len(merged_lang) > 0
     check("C7 four classified branches; merged language equals the union",
           ok, f"{len(merged_lang)} accepted sequences over a 7-event pool")
+
+
+def _bench_stream(n, rng):
+    """Noise-heavy stream: idle chatter, low radiation, occasional arrivals."""
+    out = []
+    t = 0.0
+    for _ in range(n):
+        t += rng.uniform(0.01, 0.2)
+        roll = rng.random()
+        if roll < 0.55:
+            out.append({"topic": "radiation_sensor_plugin/sensor_0",
+                        "value": round(rng.uniform(10.0, 200.0), 1), "time": round(t, 3)})
+        elif roll < 0.85:
+            out.append({"topic": "odom", "time": round(t, 3), "seq": rng.randrange(10**6)})
+        else:
+            out.append({"topic": "move_base/result", "time": round(t, 3),
+                        "waypoint": rng.randrange(4), "result": "success"})
+    return [normalize_event(ev) for ev in out]
+
+
+def bench_report(spec, lengths, seed=0, repetitions=5):
+    """Per-length mean per-event cost of ``Monitor.step`` on the merged term,
+    with the peak alternative count, and the flatness ratio (max mean / min
+    mean).
+
+    Each length runs several times and keeps its least-noisy (fastest mean)
+    repetition; the collector is paused while sampling so its pauses don't
+    land on arbitrary events. The streams are generated first and the
+    repetitions go round-robin over the lengths, so a drift in host speed
+    reaches every length alike instead of passing for a length effect.
+    """
+    rng = random.Random(seed)
+    warm = Monitor(spec.merged, topics=spec.topics)
+    for event in _bench_stream(2000, random.Random(seed + 1)):
+        warm.step(event)
+    streams = [_bench_stream(n, rng) for n in lengths]
+    best = [None] * len(streams)
+    for _ in range(repetitions):
+        for i, stream in enumerate(streams):
+            monitor = Monitor(spec.merged, topics=spec.topics)
+            samples = []
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                for event in stream:
+                    t0 = time.perf_counter_ns()
+                    monitor.step(event)
+                    samples.append(time.perf_counter_ns() - t0)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+            mean_us = statistics.fmean(samples) / 1000.0
+            if best[i] is None or mean_us < best[i]["mean_us"]:
+                best[i] = {"events": len(stream), "mean_us": mean_us,
+                           "peak_alternatives": monitor.peak_alternatives}
+    means = [row["mean_us"] for row in best]
+    flatness = max(means) / min(means) if min(means) > 0 else float("inf")
+    return best, flatness
 
 
 def test_c8_overhead_flatness():

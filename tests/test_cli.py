@@ -1,8 +1,11 @@
 import gc
 import io
 import json
+import os
 import random
 import socket
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -460,11 +463,15 @@ def test_stdin_writes_and_flushes_each_line_as_it_is_final(tree_path, monkeypatc
     assert written_before == [max(0, i - 1) for i in range(events)]
 
 
-def test_bench_minimal(tree_path, capsys):
-    assert main(["bench", tree_path, "--events", "1000"]) == 0
-    out = capsys.readouterr().out
-    assert "flatness ratio" in out
-    assert "events/s" in out
+def test_cli_import_leaves_out_what_a_run_does_not_use():
+    """Importing the command line loads neither the TCP stack, which only
+    --listen needs, nor the test oracle nor statistics."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    check = ("import rvaft.cli, sys; "
+             "print(sorted({'socket', 'statistics', 'rvaft.oracle'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_stdin_stream_matches_file_stream_byte_for_byte(tree_path, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from rvaft.compiler import (
     compile_tree,
     decompose,
     merge,
+    read_fields,
     translate_and,
     translate_or,
     translate_sand,
@@ -393,3 +394,21 @@ def test_dag_sharing_expands_into_every_branch(tree):
     for prop in decompose(tree):
         names = [a.name for a in iter_atoms(prop.term)]
         assert "inspect" in names and "radiation" in names
+
+
+def test_fields_are_the_pattern_keys_read_on_each_topic(spec):
+    assert spec.fields == {
+        "command": {"topic", "name", "waypoint", "time"},
+        "radiation_sensor_plugin/sensor_0": {"topic", "value", "time"},
+        "move_base/result": {"topic", "waypoint", "result"},
+        "move_base/goal": {"topic", "goal"},
+    }
+    assert set(spec.fields) == spec.topics
+
+
+@pytest.mark.parametrize("pattern", [(("topic", Bind("T")),), (("v", 1.0),), (("topic", 5.0),)],
+                         ids=["bound-topic", "no-topic", "number-topic"])
+def test_fields_are_unknown_when_an_atom_has_no_literal_string_topic(pattern):
+    wild = Atom(EventAnnotation("w", pattern))
+    assert read_fields([A]) == {"t_a": {"topic"}}
+    assert read_fields([Seq(A, wild)]) is None

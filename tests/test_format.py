@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 from importlib import resources
 
 import pytest
@@ -20,9 +21,9 @@ from rvaft.fileformat import (
     serialize_tree,
     verdict_record_line,
 )
-from rvaft.engine import Verdict, VerdictEntry
+from rvaft.engine import Monitor, Verdict, VerdictEntry
 from rvaft.model import GateSpec, RvaftNode, RvaftTree, validate
-from rvaft.terms import EventAnnotation
+from rvaft.terms import Atom, Bind, EventAnnotation, canonical_topic
 
 
 def test_shipped_tree_parses_to_case_study():
@@ -208,6 +209,93 @@ def test_non_finite_pattern_number_is_schema_error(literal):
     }).replace('"v": 0', f'"v": {literal}')
     with pytest.raises(SchemaError, match="a: pattern v: "):
         parse_tree(text)
+
+
+_KEYS = ["topic", "v", "w", "pose", "e1", "E"]
+_TOPICS = st.sampled_from(["a", "/a", "//a", "b", "", "/", 5, None, ["a"]])
+_SCALARS = (st.none() | st.booleans() | st.integers(-10**400, 10**400)
+            | st.floats() | st.text(alphabet="ae1E/{}[]\\\"\r", max_size=6))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+                       max_leaves=8)
+
+
+@st.composite
+def _lines(draw):
+    """One JSONL line: mostly an object with a topic, sometimes padded past
+    the short-line limit, nested deeply, with a duplicated topic, or not an
+    object at all."""
+    kind = draw(st.sampled_from(["object", "object", "object", "padded", "deep",
+                                 "duplicate", "value", "garbage"]))
+    if kind == "value":
+        return json.dumps(draw(_VALUES))
+    if kind == "garbage":
+        return draw(st.sampled_from(["not json", "{", "{\"topic\": \"a\"} x", "\ufeff{}"]))
+    event = {"topic": draw(_TOPICS)} if draw(st.integers(0, 9)) else {}
+    event.update(draw(st.dictionaries(st.sampled_from(_KEYS[1:]), _VALUES, max_size=4)))
+    line = json.dumps(event)
+    if kind == "padded":
+        line = line[:-1] + (", " if len(event) else "") + '"pad": "' + "x" * 300 + '"}'
+    elif kind == "deep":
+        depth = draw(st.sampled_from([50, 140, 600]))
+        line = line[:-1] + (", " if len(event) else "") + '"d": ' + "[" * depth + "]" * depth + "}"
+    elif kind == "duplicate":
+        line = line[:-1] + (", " if len(event) else "") + '"topic": ' + json.dumps(draw(_TOPICS)) + "}"
+    return line
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _read(lines, fields=None):
+    stats, warnings = TraceStats(), _Warnings()
+    logger = logging.getLogger("rvaft.fileformat")
+    logger.addHandler(warnings)
+    try:
+        events = list(read_trace(io.StringIO("\n".join(lines)), stats, fields))
+    finally:
+        logger.removeHandler(warnings)
+    return events, stats, warnings.messages
+
+
+@given(st.lists(_lines(), max_size=8),
+       st.dictionaries(st.sampled_from(["a", "/a", "b", ""]),
+                       st.frozensets(st.sampled_from(_KEYS)), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_read_trace_with_fields_keeps_only_the_read_keys(lines, fields):
+    """Each event read with ``fields`` is the topic plus the ``fields[topic]``
+    keys of the event read in full; the counts and warnings are the same."""
+    full, full_stats, full_warnings = _read(lines)
+    picked, stats, warnings = _read(lines, fields)
+    expected = [
+        {k: v for k, v in event.items() if k == "topic" or k in fields.get(event["topic"], ())}
+        for event in full
+    ]
+    assert picked == expected
+    assert (stats, warnings) == (full_stats, full_warnings)
+
+
+@pytest.mark.parametrize("topics", [{"a"}, {"/a"}, {"", "b"}, {"a", "/a", 5.0}],
+                         ids=["a", "slash-a", "empty", "mixed"])
+@pytest.mark.parametrize("wild", [False, True], ids=["frontier", "no-frontier"])
+def test_step_drops_exactly_the_topics_off_the_subscription(topics, wild):
+    """A step drops an event iff ``canonical_topic`` of its topic is not
+    subscribed, whether the subscribed ones then meet a frontier or are
+    derived."""
+    pattern = (("x", Bind("X")),) if wild else (("topic", "zzz"),)
+    term = Atom(EventAnnotation("z", pattern))
+    for topic in ["", "/", "a", "/a", "//a", None, 5, 5.0, ("a",)]:
+        outcome = Monitor(term, topics=topics).step({"topic": topic}).outcome
+        subscribed = canonical_topic(topic) in topics
+        assert outcome == ("neutral" if subscribed else "dropped"), topic
+    # With no topic filter, an unhashable topic is one no atom can consume.
+    assert Monitor(term).step({"topic": ["a"]}).outcome == "neutral"
 
 
 def test_format_event_round_trips_through_read_trace():
