@@ -37,6 +37,8 @@ from .terms import Bind, EventAnnotation, normalize_value
 
 log = logging.getLogger("rvaft")
 
+_UNKNOWN = Verdict.UNKNOWN
+
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -160,8 +162,10 @@ class _VerdictWriter:
 
     The body of the last line written (everything after ``event_index``) is
     kept with the state it was built from, and reused while the next
-    record's state is equal by value, so a line is built once per monitor
-    state rather than once per event.
+    record's state is the same, so a line is built once per monitor state
+    rather than once per event. ``TraceRunner.feed`` hands on the same
+    objects while no monitor changed, so identity answers first; equality by
+    value is the fallback.
     """
 
     def __init__(self, out, batch):
@@ -169,15 +173,17 @@ class _VerdictWriter:
         self.batch = batch
         self.held = None
         self.pending = []
-        self.state = None  # (verdict, property, live_branches, skipped) of body
-        self.bindings = None  # the bindings body was built from
+        # The state body was built from: verdict, property, live_branches,
+        # skipped and bindings.
+        self.verdict = self.property = self.live_branches = None
+        self.skipped = self.bindings = None
         self.body = None
 
     def push(self, record):
         if self.held is not None:
             self._emit(self.held)
             self.held = None
-        if record.verdict is Verdict.UNKNOWN:
+        if record.verdict is _UNKNOWN:
             self.held = record
         else:
             self._emit(record)
@@ -189,10 +195,20 @@ class _VerdictWriter:
             self._drain()
 
     def _emit(self, record):
-        state = (record.verdict, record.property, record.live_branches, record.skipped)
-        if state != self.state or not _same_bindings(record.bindings, self.bindings):
-            self.state, self.bindings = state, record.bindings
-            self.body = verdict_record_body(record)
+        if not (record.live_branches is self.live_branches
+                and record.bindings is self.bindings
+                and record.verdict is self.verdict
+                and record.skipped is self.skipped
+                and record.property is self.property):
+            if not (record.verdict == self.verdict and record.property == self.property
+                    and record.live_branches == self.live_branches
+                    and record.skipped == self.skipped
+                    and _same_bindings(record.bindings, self.bindings)):
+                self.body = verdict_record_body(record)
+            # Either way body is that of this state, now held by these objects.
+            self.verdict, self.property = record.verdict, record.property
+            self.live_branches, self.skipped = record.live_branches, record.skipped
+            self.bindings = record.bindings
         self.pending.append(verdict_record_line(record, self.body) + "\n")
         if len(self.pending) >= self.batch:
             self._drain()
@@ -201,6 +217,15 @@ class _VerdictWriter:
         self.out.write("".join(self.pending))
         self.out.flush()
         self.pending.clear()
+
+
+def _property_path(path, which):
+    """``path`` with ``.which`` put before the suffixes of its file name:
+    ``d.d/out.verdicts.jsonl`` -> ``d.d/out.phi1.verdicts.jsonl``."""
+    name = os.path.basename(path)
+    stem, dot, rest = name.partition(".")
+    return path[:len(path) - len(name)] + (f"{stem}.{which}.{rest}" if dot
+                                           else f"{name}.{which}")
 
 
 def cmd_run(args):
@@ -227,14 +252,16 @@ def cmd_run(args):
             events = stack.enter_context(
                 contextlib.closing(_events_from_tcp(args.listen, stats, spec.fields)))
         else:
-            events = read_trace(sys.stdin, stats, spec.fields)
+            # Bytes, so that stdin decodes as --trace and --listen do, with
+            # errors replaced; a text stream with no buffer is read as is.
+            stdin = getattr(sys.stdin, "buffer", sys.stdin)
+            events = read_trace(stdin, stats, spec.fields)
         batch = REPLAY_BATCH_LINES if args.trace else 1
         writers = []
         for which in selectors:
             path = args.output
             if path and len(selectors) > 1:
-                stem, dot, rest = path.partition(".")
-                path = f"{stem}.{which}.{rest}" if dot else f"{path}.{which}"
+                path = _property_path(path, which)
             if not path or path == "-":
                 out = sys.stdout
             else:

@@ -47,6 +47,15 @@ class Verdict(Enum):
         return {"?": "?", "top": "⊤", "bottom": "⊥"}[self.value]
 
 
+# Reading a member off its Enum class costs a descriptor call; the hot paths
+# compare against these module-level names instead.
+_UNKNOWN = Verdict.UNKNOWN
+_SATISFIED = Verdict.SATISFIED
+_VIOLATED = Verdict.VIOLATED
+_PROGRESS = MatchOutcome.PROGRESS
+_GUARD_FAIL = MatchOutcome.GUARD_FAIL
+
+
 @dataclass(frozen=True)
 class Alternative:
     """One live interpretation of the stream: residual term + bindings."""
@@ -81,9 +90,9 @@ def _derive(term, env, ev, idx):
             res = match_event(term.ann, ev, env)
         except TypeMismatchError as exc:
             return [], [], [f"{term.ann.name}: {exc} (treated as no match)"]
-        if res.outcome is MatchOutcome.PROGRESS:
+        if res.outcome is _PROGRESS:
             return [(Epsilon(), res.env, term.ann.name)], [], []
-        if res.outcome is MatchOutcome.GUARD_FAIL:
+        if res.outcome is _GUARD_FAIL:
             return [], [term.ann], []
         return [], [], [res.note] if res.note else []
     if isinstance(term, Seq):
@@ -228,16 +237,16 @@ class Monitor:
 
     def _assess(self):
         if any(nullable(a.term, a.env) for a in self.alternatives):
-            return Verdict.SATISFIED
+            return _SATISFIED
         if not self.alternatives:
-            return Verdict.VIOLATED
-        return Verdict.UNKNOWN
+            return _VIOLATED
+        return _UNKNOWN
 
     def step(self, event):
         """Consume one event; returns diagnostics. No-op once decided."""
         idx = self.events_seen
         self.events_seen += 1
-        if self.verdict is not Verdict.UNKNOWN:
+        if self.verdict is not _UNKNOWN:
             return _DECIDED
         topic = event.get("topic")
         try:
@@ -336,43 +345,38 @@ class TraceRunner:
             pid: Monitor(t, topics=spec.topics, strict=strict)
             for pid, t in shadow_terms.items()
         }
+        self._shadows = tuple(self.shadows.values())  # what feed steps, built once
         self.last = None  # the latest record, which finish() may still close
 
     def attribution(self):
         if self.which != "merged":
-            return (self.which,) if self.monitor.verdict is not Verdict.VIOLATED else ()
-        if self.monitor.verdict is Verdict.SATISFIED:
-            return tuple(
-                pid for pid, m in self.shadows.items() if m.verdict is Verdict.SATISFIED
-            )
-        return tuple(
-            pid for pid, m in self.shadows.items() if m.verdict is not Verdict.VIOLATED
-        )
+            return (self.which,) if self.monitor.verdict is not _VIOLATED else ()
+        if self.monitor.verdict is _SATISFIED:
+            return tuple(pid for pid, m in self.shadows.items() if m.verdict is _SATISFIED)
+        return tuple(pid for pid, m in self.shadows.items() if m.verdict is not _VIOLATED)
 
     def feed(self, event):
         """Step every monitor and return the event's record. Attribution and
         bindings change only when some monitor's alternatives do, so on any
         other event the previous record's are handed on."""
-        diag = self.monitor.step(event)
+        monitor = self.monitor
+        diag = monitor.step(event)
         changed = diag.outcome in _REPLACED
-        for shadow in self.shadows.values():
+        for shadow in self._shadows:
             if shadow.step(event).outcome in _REPLACED:
                 changed = True
-        if changed or self.last is None:
+        last = self.last
+        if changed or last is None:
             live_branches = self.attribution()
-            bindings = self.monitor.bindings() or None
+            bindings = monitor.bindings() or None
         else:
-            live_branches = self.last.live_branches
-            bindings = self.last.bindings
-        record = VerdictEntry(
-            event_index=self.monitor.events_seen - 1,
-            verdict=self.monitor.verdict,
-            property=self.which,
-            live_branches=live_branches,
-            bindings=bindings,
-            skipped=diag.outcome in _SKIPPED,
+            live_branches = last.live_branches
+            bindings = last.bindings
+        # VerdictEntry(event_index, verdict, property, live_branches, bindings, skipped)
+        self.last = record = VerdictEntry(
+            monitor.events_seen - 1, monitor.verdict, self.which, live_branches, bindings,
+            diag.outcome in _SKIPPED,
         )
-        self.last = record
         return record
 
     def finish(self):

@@ -409,19 +409,43 @@ def _refuse_constant(name):
 _FIELD_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
-def _field_event(line, keys):
-    """The event of a short line without an exponent: its topic plus the
-    keys that ``keys`` lists for that topic. None when the line is malformed,
-    so that reading it in full names the fault."""
+def _field_table(fields):
+    """Every raw spelling of a topic in ``fields`` (``t`` and ``/t``, as
+    ``canonical_topic`` maps them) -> (canonical topic, keys read on it)."""
+    table = {}
+    for topic, keys in fields.items():
+        entry = (topic, tuple(k for k in keys if k != "topic"))
+        for spelling in (topic, "/" + topic):
+            if canonical_topic(spelling) == topic:
+                table[spelling] = entry
+    return table
+
+
+def _field_event(line, table):
+    """The event of a short line without an exponent: its canonical topic
+    plus the keys that ``table`` lists for its spelling. None when the line
+    is malformed, so that reading it in full names the fault."""
     try:
         raw, end = _FIELD_DECODER.raw_decode(line)  # the line starts with no space
         topic = raw.get("topic") if end == len(line) and isinstance(raw, dict) else None
         if not isinstance(topic, str):
             return None
-        event = {"topic": canonical_topic(topic)}
-        for key in keys.get(event["topic"], ()):
+        entry = table.get(topic)
+        if entry is None:
+            return {"topic": canonical_topic(topic)}
+        topic, keys = entry
+        event = {"topic": topic}
+        for key in keys:
             if key in raw:
-                event[key] = normalize_value(raw[key])
+                # What normalize_value does, without a call for the common
+                # kinds: such a line's numbers are all finite doubles.
+                value = raw[key]
+                kind = type(value)
+                if kind is int:
+                    value = float(value)
+                elif kind is not str and kind is not float:
+                    value = normalize_value(value)
+                event[key] = value
         return event
     except (ValueError, TypeError, RecursionError):
         return None
@@ -444,10 +468,10 @@ def read_trace(stream, stats=None, fields=None):
             stream.decode("utf-8") if isinstance(stream, bytes) else stream
         )
     if fields is not None:
-        keys = {t: tuple(k for k in ks if k != "topic") for t, ks in fields.items()}
+        table = _field_table(fields)
     for line in stream:
         if isinstance(line, bytes):
-            line = line.decode("utf-8", errors="replace")
+            line = line.decode("utf-8", "replace")
         line = line.strip()
         if not line:
             continue
@@ -455,20 +479,21 @@ def read_trace(stream, stats=None, fields=None):
         event = None
         if (fields is not None and len(line) <= _SHORT_LINE
                 and not _EXPONENT.search(line) and "E" not in line):
-            event = _field_event(line, keys)
+            event = _field_event(line, table)
         if event is None:
             try:
                 raw = json.loads(line)
                 if not isinstance(raw, dict) or not isinstance(raw.get("topic"), str):
                     raise ValueError("record needs a string 'topic'")
                 event = normalize_event(raw)
-                event["topic"] = canonical_topic(event["topic"])
+                topic = event["topic"]
+                event["topic"] = canonical_topic(topic)
             except (ValueError, TypeError, RecursionError) as exc:
                 stats.malformed += 1
                 log.warning("skipping malformed trace line %d: %s", stats.lines, exc)
                 continue
             if fields is not None:
-                read = keys.get(event["topic"], ())
+                _, read = table.get(topic, (None, ()))
                 event = {k: v for k, v in event.items() if k == "topic" or k in read}
         stats.events += 1
         yield event

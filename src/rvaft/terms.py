@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 
@@ -147,7 +148,7 @@ class NotOp(GuardExpr):
     operand: GuardExpr
 
 
-_ORDERED_OPS = {"<", "<=", ">", ">="}
+_ORDERED_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _ARITH_OPS = {"+", "-"}
 _EQ_OPS = {"==", "!="}
 _BOOL_OPS = {"and", "or"}
@@ -203,7 +204,7 @@ def _eval(g, env):
             return a + b if g.op == "+" else a - b
         if g.op in _ORDERED_OPS:
             a, b = _require_number(left, g.op), _require_number(right, g.op)
-            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[g.op]
+            return _ORDERED_OPS[g.op](a, b)
         if g.op in _EQ_OPS:
             # Equality is structural and total: values of different types
             # simply compare unequal (a waypoint number is != a named one).
@@ -264,6 +265,15 @@ class EventAnnotation:
             raise ValueError(f"annotation {self.name} has neither pattern nor guard")
         if self.on_guard_fail not in (None, "skip", "violate"):
             raise ValueError(f"bad on_guard_fail: {self.on_guard_fail!r}")
+        if self.on_guard_fail is not None:
+            policy = self.on_guard_fail
+        elif self.guard is None or guard_vars(self.guard) <= set(self.bound_vars()):
+            policy = "skip"
+        else:
+            policy = "violate"
+        # Not a field, so equality, hashing, repr and replace() ignore it;
+        # replace() runs __post_init__ again and so derives it anew.
+        object.__setattr__(self, "_policy", policy)
 
     def bound_vars(self):
         """Variables bound by this annotation's own pattern, in pattern order."""
@@ -274,14 +284,10 @@ class EventAnnotation:
 
         A guard over only this atom's own bindings refines which events count
         (skip on failure); a guard referencing earlier bindings correlates
-        events, so its failure is conclusive (violate).
+        events, so its failure is conclusive (violate). Derived once, when
+        the annotation is made.
         """
-        if self.on_guard_fail is not None:
-            return self.on_guard_fail
-        if self.guard is None:
-            return "skip"
-        own = set(self.bound_vars())
-        return "skip" if guard_vars(self.guard) <= own else "violate"
+        return self._policy
 
     def topic(self):
         """The literal topic this annotation listens on, if any."""
@@ -316,6 +322,12 @@ class MatchResult:
 
 NO_MATCH = MatchResult(MatchOutcome.NO_MATCH)
 
+# Module-level names for the members match_event returns; reading a member
+# off its Enum class costs a descriptor call.
+_PROGRESS = MatchOutcome.PROGRESS
+_GUARD_FAIL = MatchOutcome.GUARD_FAIL
+_NO_MATCH = MatchOutcome.NO_MATCH
+
 
 def match_event(ann, event, env):
     """Match one event against one annotation under the given bindings.
@@ -340,17 +352,17 @@ def match_event(ann, event, env):
         elif not values_equal(matcher, value):
             return NO_MATCH
     if ann.guard is None:
-        return MatchResult(MatchOutcome.PROGRESS, new_env)
+        return MatchResult(_PROGRESS, new_env)
     try:
         ok = eval_guard(ann.guard, new_env)
     except UnboundVariableError as exc:
         return MatchResult(
-            MatchOutcome.NO_MATCH,
+            _NO_MATCH,
             note=f"{ann.name}: guard variable {exc.name} not yet bound",
         )
     if ok:
-        return MatchResult(MatchOutcome.PROGRESS, new_env)
-    return MatchResult(MatchOutcome.GUARD_FAIL, note=f"{ann.name}: guard false")
+        return MatchResult(_PROGRESS, new_env)
+    return MatchResult(_GUARD_FAIL, note=f"{ann.name}: guard false")
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,25 @@ def test_run_all_without_output_is_usage_error(tree_path, tmp_path, monkeypatch,
         assert list(tmp_path.iterdir()) == [], output
 
 
+@pytest.mark.parametrize("output,expected", [
+    ("./x.verdicts.jsonl", "x.{}.verdicts.jsonl"),
+    ("d.d/x.jsonl", "d.d/x.{}.jsonl"),
+    ("x", "x.{}"),
+])
+def test_run_all_puts_the_property_into_the_file_name_of_o(output, expected, tree_path,
+                                                           tmp_path, monkeypatch):
+    """A dot in a directory of the path is not the file name's suffix."""
+    trace = tmp_path / "bad.trace.jsonl"
+    main(["simulate", "attack-moving", "bad", "-o", str(trace)])
+    work = tmp_path / "work"
+    (work / "d.d").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    code = main(["run", tree_path, "--trace", str(trace), "--property", "all", "-o", output])
+    assert code == 2
+    produced = {str(p.relative_to(work)) for p in work.rglob("*") if p.is_file()}
+    assert produced == {expected.format(w) for w in ("merged", "phi1", "phi2", "phi3", "phi4")}
+
+
 def test_run_unknown_property(tree_path, tmp_path, capsys):
     trace = tmp_path / "t.trace.jsonl"
     main(["simulate", "fault-moving", "bad", "-o", str(trace)])
@@ -472,6 +491,26 @@ def test_cli_import_leaves_out_what_a_run_does_not_use():
     out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_stdin_bytes_that_are_not_utf8_are_replaced_as_in_a_trace_file(tmp_path):
+    """An interpreter whose stdin decodes with strict errors still reads a
+    line with a byte that is not UTF-8, as --trace does."""
+    payload = (b'{"topic": "a", "s": "\xff"}\n'
+               b'{"topic": "command", "name": "move", "waypoint": 1}\n')
+    trace = tmp_path / "t.trace.jsonl"
+    trace.write_bytes(payload)
+    env = {k: v for k, v in os.environ.items() if k != "RVAFT_LOG"}
+    env.update(PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+               PYTHONIOENCODING="utf-8")
+    cmd = [sys.executable, "-m", "rvaft.cli", "run", str(CASES / "remote_inspection.rvaft.json")]
+    stdin = subprocess.run(cmd, input=payload, capture_output=True, env=env, timeout=60)
+    assert stdin.returncode == 0, stdin.stderr
+    assert stdin.stderr.decode().splitlines()[0] == "trace: lines=2 events=2 malformed=0"
+    assert len(stdin.stdout.splitlines()) == 2
+    from_file = subprocess.run(cmd + ["--trace", str(trace)], capture_output=True, env=env,
+                               timeout=60)
+    assert (stdin.stdout, stdin.stderr) == (from_file.stdout, from_file.stderr)
 
 
 def test_stdin_stream_matches_file_stream_byte_for_byte(tree_path, tmp_path, monkeypatch):

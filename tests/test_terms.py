@@ -1,9 +1,14 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CASES, gen_term
+from rvaft.compiler import compile_tree
 from rvaft.errors import TypeMismatchError, UnboundVariableError
-from rvaft.fileformat import parse_guard
+from rvaft.fileformat import parse_guard, parse_tree
 from rvaft.terms import (
     Atom,
     Bind,
@@ -16,6 +21,8 @@ from rvaft.terms import (
     Seq,
     Union,
     eval_guard,
+    guard_vars,
+    iter_atoms,
     match_event,
     normalize_event,
     nullable,
@@ -128,6 +135,62 @@ def test_effective_policy_derivation():
         .effective_policy()
         == "violate"
     )
+
+
+def _policy_by_the_rule(ann):
+    """The guard-failure policy as ``effective_policy`` states it, derived
+    afresh on every call."""
+    if ann.on_guard_fail is not None:
+        return ann.on_guard_fail
+    if ann.guard is None:
+        return "skip"
+    return "skip" if guard_vars(ann.guard) <= set(ann.bound_vars()) else "violate"
+
+
+def _annotations_under_test():
+    """Every annotation of both shipped trees and of the compiled shipped
+    tree (whose guards are folded in by ``with_extra_guard``), and of wild
+    random terms."""
+    anns = []
+    for name in ("remote_inspection.rvaft.json", "full_inspection.rvaft.json"):
+        tree = parse_tree((CASES / name).read_bytes())
+        anns += [node.annotation for node in tree.nodes.values() if node.annotation]
+    spec = compile_tree(parse_tree((CASES / "remote_inspection.rvaft.json").read_bytes()))
+    for term in [spec.merged] + [p.term for p in spec.properties]:
+        anns += list(iter_atoms(term))
+    for seed in range(200):
+        anns += list(iter_atoms(gen_term(random.Random(seed), wild=True)[0]))
+    return anns
+
+
+def test_effective_policy_is_derived_once_and_is_no_field():
+    """The policy kept with an annotation is the rule's fresh value, also on
+    the copies that guard folding and ``replace`` make; it takes no part in
+    equality, hashing or repr."""
+    anns = _annotations_under_test()
+    assert {_policy_by_the_rule(a) for a in anns} == {"skip", "violate"}
+    correlated = parse_guard("T1 >= Other")
+    for ann in anns:
+        variants = [
+            ann,
+            ann.with_extra_guard(correlated),
+            ann.with_extra_guard(correlated, on_guard_fail="skip"),
+            dataclasses.replace(ann, on_guard_fail="violate"),
+            dataclasses.replace(ann, on_guard_fail=None),
+        ]
+        if ann.pattern:
+            variants.append(dataclasses.replace(ann, guard=None))
+        for v in variants:
+            assert v.effective_policy() == _policy_by_the_rule(v), v
+            fields = (v.name, v.pattern, v.guard, v.on_guard_fail)
+            assert [f.name for f in dataclasses.fields(v)] == [
+                "name", "pattern", "guard", "on_guard_fail"]
+            assert hash(v) == hash(fields)
+            assert repr(v) == (
+                "EventAnnotation(name=%r, pattern=%r, guard=%r, on_guard_fail=%r)" % fields)
+            assert v == EventAnnotation(*fields) == dataclasses.replace(v)
+    skip = EventAnnotation("r", RADIATION.pattern, RADIATION.guard)
+    assert skip != dataclasses.replace(skip, on_guard_fail="skip")
 
 
 def test_nullable_basics():
