@@ -145,13 +145,6 @@ def _events_from_tcp(port, stats, fields):
 REPLAY_BATCH_LINES = 1000
 
 
-def _same_bindings(a, b):
-    """Do two records' bindings give the same line? Equal values of another
-    type do not: ``True == 1.0``, but one is written ``true``, the other
-    ``1``."""
-    return a is b or (a == b and all(type(v) is type(b[k]) for k, v in a.items()))
-
-
 class _VerdictWriter:
     """Writes one runner's verdict lines to ``out`` as soon as each is final,
     ``batch`` lines per write and flush.
@@ -162,10 +155,9 @@ class _VerdictWriter:
 
     The body of the last line written (everything after ``event_index``) is
     kept with the state it was built from, and reused while the next
-    record's state is the same, so a line is built once per monitor state
-    rather than once per event. ``TraceRunner.feed`` hands on the same
-    objects while no monitor changed, so identity answers first; equality by
-    value is the fallback.
+    record's state is the same objects. ``TraceRunner.feed`` hands on those
+    objects while no monitor changed, so a line is built once per monitor
+    state rather than once per event.
     """
 
     def __init__(self, out, batch):
@@ -200,12 +192,7 @@ class _VerdictWriter:
                 and record.verdict is self.verdict
                 and record.skipped is self.skipped
                 and record.property is self.property):
-            if not (record.verdict == self.verdict and record.property == self.property
-                    and record.live_branches == self.live_branches
-                    and record.skipped == self.skipped
-                    and _same_bindings(record.bindings, self.bindings)):
-                self.body = verdict_record_body(record)
-            # Either way body is that of this state, now held by these objects.
+            self.body = verdict_record_body(record)
             self.verdict, self.property = record.verdict, record.property
             self.live_branches, self.skipped = record.live_branches, record.skipped
             self.bindings = record.bindings
@@ -304,8 +291,27 @@ def cmd_simulate(args):
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other input error: argparse's 2
+    is the exit code of a detection. Subcommand parsers are of this class
+    too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _port(text):
+    try:
+        if 0 <= int(text) <= 65535:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a port from 0 to 65535: {text!r}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rvaft",
         description="Compile attack-fault trees with runtime events into stream monitors.",
     )
@@ -349,7 +355,7 @@ def build_parser():
                    help="'merged' (default), a branch id like phi1, or 'all'")
     src = p.add_mutually_exclusive_group()
     src.add_argument("--trace", help="JSONL trace file (default: stdin)")
-    src.add_argument("--listen", type=int, metavar="PORT",
+    src.add_argument("--listen", type=_port, metavar="PORT",
                      help="accept one JSONL connection on this TCP port")
     p.add_argument("--strict", action="store_true",
                    help="non-progressing subscribed events violate")

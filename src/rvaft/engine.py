@@ -10,7 +10,6 @@ was noise for it). The three-valued verdict is sticky.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -34,8 +33,6 @@ from .terms import (
     seq,
     shuffle,
 )
-
-log = logging.getLogger(__name__)
 
 
 class Verdict(Enum):
@@ -62,71 +59,70 @@ class Alternative:
 
     term: object
     env: Env
-    trail: tuple = ()  # (event_index, atom_name) pairs, for diagnostics
 
 
 @dataclass(frozen=True, slots=True)
 class StepDiagnostics:
     outcome: str  # progressed | eliminated | neutral | dropped | decided
-    notes: tuple = ()
 
 
-# The steps that change nothing and note nothing share one record each.
+# Every step with the same outcome returns the same record.
 _DECIDED = StepDiagnostics("decided")
 _DROPPED = StepDiagnostics("dropped")
 _NEUTRAL = StepDiagnostics("neutral")
+_PROGRESSED = StepDiagnostics("progressed")
+_ELIMINATED = StepDiagnostics("eliminated")
 
 
-def _derive(term, env, ev, idx):
-    """Successor (term, env, atom_name) triples and guard-failed annotations.
+def _derive(term, env, ev):
+    """Successor (term, env) pairs, and whether a guard whose policy is
+    ``violate`` failed. A guard that cannot be evaluated (a type mismatch)
+    is no match.
 
     Successors already apply the unit/absorption simplifications, so a dead
     continuation (e.g. a sequence into Empty) yields no successor at all.
     """
     if isinstance(term, (Empty, Epsilon, Check)):
-        return [], [], []
+        return [], False
     if isinstance(term, Atom):
         try:
             res = match_event(term.ann, ev, env)
-        except TypeMismatchError as exc:
-            return [], [], [f"{term.ann.name}: {exc} (treated as no match)"]
+        except TypeMismatchError:
+            return [], False
         if res.outcome is _PROGRESS:
-            return [(Epsilon(), res.env, term.ann.name)], [], []
-        if res.outcome is _GUARD_FAIL:
-            return [], [term.ann], []
-        return [], [], [res.note] if res.note else []
+            return [(Epsilon(), res.env)], False
+        return [], res.outcome is _GUARD_FAIL and term.ann.effective_policy() == "violate"
     if isinstance(term, Seq):
-        succ, fails, notes = _derive(term.left, env, ev, idx)
+        succ, violated = _derive(term.left, env, ev)
         out = []
-        for t, e, name in succ:
+        for t, e in succ:
             nxt = seq(t, term.right)
             if not isinstance(nxt, Empty):
-                out.append((nxt, e, name))
+                out.append((nxt, e))
         if nullable(term.left, env):
-            s2, f2, n2 = _derive(term.right, env, ev, idx)
+            s2, v2 = _derive(term.right, env, ev)
             out.extend(s2)
-            fails = fails + f2
-            notes = notes + n2
-        return out, fails, notes
+            violated = violated or v2
+        return out, violated
     if isinstance(term, Union):
-        s1, f1, n1 = _derive(term.left, env, ev, idx)
-        s2, f2, n2 = _derive(term.right, env, ev, idx)
-        return s1 + s2, f1 + f2, n1 + n2
+        s1, v1 = _derive(term.left, env, ev)
+        s2, v2 = _derive(term.right, env, ev)
+        return s1 + s2, v1 or v2
     if isinstance(term, Shuffle):
-        s1, f1, n1 = _derive(term.left, env, ev, idx)
-        s2, f2, n2 = _derive(term.right, env, ev, idx)
+        s1, v1 = _derive(term.left, env, ev)
+        s2, v2 = _derive(term.right, env, ev)
         out = []
-        for t, e, name in s1:
+        for t, e in s1:
             nxt = shuffle(t, term.right)
             if not isinstance(nxt, Empty):
-                out.append((nxt, e, name))
-        for t, e, name in s2:
+                out.append((nxt, e))
+        for t, e in s2:
             nxt = shuffle(term.left, t)
             if not isinstance(nxt, Empty):
-                out.append((nxt, e, name))
-        return out, f1 + f2, n1 + n2
+                out.append((nxt, e))
+        return out, v1 or v2
     if isinstance(term, Let):
-        return _derive(term.body, env, ev, idx)
+        return _derive(term.body, env, ev)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -243,8 +239,7 @@ class Monitor:
         return _UNKNOWN
 
     def step(self, event):
-        """Consume one event; returns diagnostics. No-op once decided."""
-        idx = self.events_seen
+        """Consume one event; returns its outcome. No-op once decided."""
         self.events_seen += 1
         if self.verdict is not _UNKNOWN:
             return _DECIDED
@@ -259,38 +254,31 @@ class Monitor:
             self.skipped += 1
             return skip
 
-        successors = []  # per alternative, what replaces it
-        notes = []
+        candidates = []  # what replaces the alternatives, in their order
         neutral = True
         for alt in self.alternatives:
-            succ, guard_fails, alt_notes = _derive(alt.term, alt.env, event, idx)
-            notes.extend(alt_notes)
+            succ, violated = _derive(alt.term, alt.env, event)
             if succ:
-                successors.append(
-                    [Alternative(t, e, alt.trail + ((idx, name),)) for t, e, name in succ]
-                )
+                candidates.extend(Alternative(t, e) for t, e in succ)
                 neutral = False
-            elif self.strict or any(a.effective_policy() == "violate" for a in guard_fails):
-                successors.append([])  # eliminated
-                neutral = False
+            elif self.strict or violated:
+                neutral = False  # eliminated
             else:
                 # No match or a skip-policy guard failure: the event is noise here.
-                successors.append([alt])
-        for n in notes:
-            log.debug("event %d: %s", idx, n)
+                candidates.append(alt)
         if neutral:
             # Nothing changed: the alternatives are already distinct and the
             # verdict still holds.
             self.skipped += 1
-            return StepDiagnostics("neutral", tuple(notes)) if notes else _NEUTRAL
+            return _NEUTRAL
 
+        # Not a set: a binding may hold a dict, which does not hash.
         new_alts = []
-        for cands in successors:
-            for cand in cands:
-                if not any(c.term == cand.term and c.env == cand.env for c in new_alts):
-                    new_alts.append(cand)
+        for cand in candidates:
+            if cand not in new_alts:
+                new_alts.append(cand)
         self._replace_alternatives(new_alts)
-        return StepDiagnostics("progressed" if new_alts else "eliminated", tuple(notes))
+        return _PROGRESSED if new_alts else _ELIMINATED
 
     def bindings(self):
         """Union of bindings across live alternatives (diagnostic view), read

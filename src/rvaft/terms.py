@@ -313,20 +313,14 @@ class MatchOutcome(enum.Enum):
 class MatchResult:
     outcome: MatchOutcome
     env: Env | None = None
-    note: str | None = None
-
-    @property
-    def progressed(self):
-        return self.outcome is MatchOutcome.PROGRESS
 
 
+# The results that carry no bindings are shared.
 NO_MATCH = MatchResult(MatchOutcome.NO_MATCH)
+GUARD_FAILED = MatchResult(MatchOutcome.GUARD_FAIL)
 
-# Module-level names for the members match_event returns; reading a member
-# off its Enum class costs a descriptor call.
+# Reading a member off its Enum class costs a descriptor call.
 _PROGRESS = MatchOutcome.PROGRESS
-_GUARD_FAIL = MatchOutcome.GUARD_FAIL
-_NO_MATCH = MatchOutcome.NO_MATCH
 
 
 def match_event(ann, event, env):
@@ -336,7 +330,7 @@ def match_event(ann, event, env):
     consistent with the environment, and the guard (if any) holds. A false
     guard after a successful pattern is GuardFail; anything else is NoMatch.
     An unbound guard variable means the atom cannot discriminate yet, which
-    is NoMatch with a diagnostic note. TypeMismatchError propagates.
+    is NoMatch. TypeMismatchError propagates.
     """
     new_env = env
     for key, matcher in ann.pattern:
@@ -355,14 +349,11 @@ def match_event(ann, event, env):
         return MatchResult(_PROGRESS, new_env)
     try:
         ok = eval_guard(ann.guard, new_env)
-    except UnboundVariableError as exc:
-        return MatchResult(
-            _NO_MATCH,
-            note=f"{ann.name}: guard variable {exc.name} not yet bound",
-        )
+    except UnboundVariableError:
+        return NO_MATCH
     if ok:
         return MatchResult(_PROGRESS, new_env)
-    return MatchResult(_GUARD_FAIL, note=f"{ann.name}: guard false")
+    return GUARD_FAILED
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the PASS/FAIL lines.
 import gc
 import itertools
 import random
-import statistics
 import time
 
 from conftest import SCENARIO_PROPERTY, gen_term, gen_trace, plain_atom, plain_event
@@ -196,10 +195,12 @@ def bench_report(spec, lengths, seed=0, repetitions=5):
     mean).
 
     Each length runs several times and keeps its least-noisy (fastest mean)
-    repetition; the collector is paused while sampling so its pauses don't
-    land on arbitrary events. The streams are generated first and the
-    repetitions go round-robin over the lengths, so a drift in host speed
-    reaches every length alike instead of passing for a length effect.
+    repetition. A pass over a stream is timed as a whole, so neither a timer
+    call nor a stored sample per event lands in what is measured; the
+    collector is paused while timing so its pauses don't land on arbitrary
+    events. The streams are generated first and the repetitions go
+    round-robin over the lengths, so a drift in host speed reaches every
+    length alike instead of passing for a length effect.
     """
     rng = random.Random(seed)
     warm = Monitor(spec.merged, topics=spec.topics)
@@ -210,18 +211,17 @@ def bench_report(spec, lengths, seed=0, repetitions=5):
     for _ in range(repetitions):
         for i, stream in enumerate(streams):
             monitor = Monitor(spec.merged, topics=spec.topics)
-            samples = []
             gc_was_enabled = gc.isenabled()
             gc.disable()
             try:
+                t0 = time.perf_counter_ns()
                 for event in stream:
-                    t0 = time.perf_counter_ns()
                     monitor.step(event)
-                    samples.append(time.perf_counter_ns() - t0)
+                elapsed_ns = time.perf_counter_ns() - t0
             finally:
                 if gc_was_enabled:
                     gc.enable()
-            mean_us = statistics.fmean(samples) / 1000.0
+            mean_us = elapsed_ns / len(stream) / 1000.0
             if best[i] is None or mean_us < best[i]["mean_us"]:
                 best[i] = {"events": len(stream), "mean_us": mean_us,
                            "peak_alternatives": monitor.peak_alternatives}

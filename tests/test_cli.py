@@ -228,6 +228,39 @@ def test_run_all_without_output_is_usage_error(tree_path, tmp_path, monkeypatch,
         assert list(tmp_path.iterdir()) == [], output
 
 
+@pytest.mark.parametrize("command", ["validate", "prune", "annotate", "branches",
+                                     "compile", "run", "simulate"])
+def test_usage_errors_exit_1_and_help_exits_0(command, capsys):
+    """Exit code 2 is a detection, so a mistyped command must not give it: a
+    missing argument and an unknown flag exit 1 with the usage on stderr."""
+    for argv in ([command], [command, "x", "--no-such-flag"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1, argv
+        assert captured.out == "" and captured.err.startswith("usage: rvaft"), argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: rvaft {command}")
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "-1", "abc"])
+def test_listen_on_a_bad_port_is_a_usage_error(port, tree_path, monkeypatch, capsys):
+    """A port outside 0-65535 is rejected while the arguments are parsed,
+    before any socket is made."""
+    def no_socket(*_args, **_kwargs):
+        raise AssertionError("a socket was made")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", tree_path, "--listen", port])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"rvaft run: error: argument --listen: not a port from 0 to 65535: '{port}'")
+
+
 @pytest.mark.parametrize("output,expected", [
     ("./x.verdicts.jsonl", "x.{}.verdicts.jsonl"),
     ("d.d/x.jsonl", "d.d/x.{}.jsonl"),
@@ -438,9 +471,9 @@ def _writer_records(seed, n=600):
 @pytest.mark.parametrize("batch", [1, 1000])
 def test_writer_output_equals_a_line_built_afresh_per_record(batch, monkeypatch):
     """The writer writes the bytes that building every line afresh gives,
-    and builds a line's body once per change of state by value: not for
-    equal bindings in fresh objects, but again for a held `?` line that the
-    end of the input closes to `bottom`."""
+    and builds a line's body again only for a record whose state is not the
+    previous record's objects: also for equal bindings in fresh objects, and
+    for a held `?` line that the end of the input closes to `bottom`."""
     built = []
 
     def counted_body(record):
@@ -458,8 +491,9 @@ def test_writer_output_equals_a_line_built_afresh_per_record(batch, monkeypatch)
         records[-1].verdict = Verdict.VIOLATED  # what TraceRunner.finish does
         writer.close()
         assert out.getvalue() == "".join(verdict_record_line(r) + "\n" for r in records)
-        bodies = [verdict_record_body(r) for r in records]
-        changes = sum(a != b for a, b in zip(bodies, bodies[1:]))
+        members = ("verdict", "property", "live_branches", "skipped", "bindings")
+        changes = sum(any(getattr(a, m) is not getattr(b, m) for m in members)
+                      for a, b in zip(records, records[1:]))
         assert len(built) == 1 + changes
         assert built[-1] == records[-1].event_index
 
