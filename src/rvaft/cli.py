@@ -2,9 +2,9 @@
 simulate.
 
 Exit codes: 0 no detection (verdict stayed violated/unknown), 1 usage or
-input error, 2 detection (the monitored fault/attack was observed). The
-detection polarity is deliberate: these properties describe bad scenarios,
-so satisfaction is the alarming outcome.
+input error, 2 detection (the monitored fault/attack was observed), 130
+interrupted (SIGINT). The detection polarity is deliberate: these properties
+describe bad scenarios, so satisfaction is the alarming outcome.
 """
 
 from __future__ import annotations
@@ -122,22 +122,19 @@ def cmd_compile(args):
 
 
 def _events_from_tcp(port, stats, fields):
-    """Minimal live-stream contract: one JSONL connection at a time."""
+    """Minimal live-stream contract: one JSONL connection at a time. Port 0
+    asks the system for a free port; the address logged is the bound one."""
     import socket
 
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind(("127.0.0.1", port))
-    server.listen(1)
-    log.info("listening on 127.0.0.1:%d", port)
-    conn, peer = server.accept()
-    log.info("connection from %s:%d", *peer)
-    try:
-        with conn.makefile("rb") as fh:
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
+        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        server.bind(("127.0.0.1", port))
+        server.listen(1)
+        log.info("listening on 127.0.0.1:%d", server.getsockname()[1])
+        conn, peer = server.accept()
+        log.info("connection from %s:%d", *peer)
+        with conn, conn.makefile("rb") as fh:
             yield from read_trace(fh, stats, fields)
-    finally:
-        conn.close()
-        server.close()
 
 
 # Verdict lines a replay joins into one write. Where stdout is unbuffered
@@ -255,9 +252,16 @@ def cmd_run(args):
                 out = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
             writers.append(_VerdictWriter(out, batch))
         steps = [(runner.feed, writer.push) for runner, writer in zip(runners, writers)]
-        for event in events:
-            for feed, push in steps:
-                push(feed(event))
+        try:
+            for event in events:
+                for feed, push in steps:
+                    push(feed(event))
+        except KeyboardInterrupt:
+            # Every line of an event read so far goes out; a held ``?`` line
+            # stays ``?``, since the input did not end.
+            for writer in writers:
+                writer.close()
+            raise
         finals = [runner.finish() for runner in runners]
         for writer in writers:
             writer.close()
@@ -375,9 +379,9 @@ def build_parser():
 
 
 def main(argv=None):
-    _setup_logging()
-    args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (RvaftError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -385,6 +389,9 @@ def main(argv=None):
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

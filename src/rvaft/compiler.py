@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
 
 from .errors import InvalidKError, UnclassifiedBranchError
 from .model import ATTACK, FAULT, NEUTRAL, validate
@@ -24,7 +23,6 @@ from .terms import (
     Let,
     Seq,
     Shuffle,
-    Term,
     Union,
     iter_atoms,
     seq,
@@ -105,25 +103,56 @@ def translate_vot(k, children):
 # Branch spines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# A spine segment equals another of its class with equal fields; _factor
+# compares spines by value to find the head and tail that arms share.
+
 class AtomSeg:
-    ann: object
+    __slots__ = ("ann",)
+
+    def __init__(self, ann):
+        self.ann = ann
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ann == other.ann
 
 
-@dataclass(frozen=True)
 class CheckSeg:
-    guard: object
-    on_guard_fail: str | None = None
+    __slots__ = ("guard", "on_guard_fail")
+
+    def __init__(self, guard, on_guard_fail=None):
+        self.guard = guard
+        self.on_guard_fail = on_guard_fail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.guard, self.on_guard_fail) == (other.guard, other.on_guard_fail)
 
 
-@dataclass(frozen=True)
 class TermSeg:
-    term: Term
+    __slots__ = ("term",)
+
+    def __init__(self, term):
+        self.term = term
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.term == other.term
 
 
-@dataclass(frozen=True)
 class UnionSeg:
-    arms: tuple  # tuple of spines (each a tuple of segments)
+    __slots__ = ("arms",)
+
+    def __init__(self, arms):
+        self.arms = arms  # tuple of spines (each a tuple of segments)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arms == other.arms
 
 
 def fold_spine(spine):
@@ -152,29 +181,34 @@ def fold_spine(spine):
     return seq_all(parts)
 
 
-@dataclass(frozen=True)
 class BranchProperty:
     """One root-to-cause branch of the tree, compiled to a monitor term."""
 
-    id: str
-    path: tuple  # chosen child ids at each disjunction, tree order
-    node_class: str  # fault or attack
-    term: Term
-    let_vars: tuple
-    notes: tuple = ()
+    __slots__ = ("id", "path", "node_class", "term", "let_vars", "notes")
+
+    def __init__(self, id, path, node_class, term, let_vars, notes=()):
+        self.id = id
+        self.path = path  # chosen child ids at each disjunction, tree order
+        self.node_class = node_class  # fault or attack
+        self.term = term
+        self.let_vars = let_vars
+        self.notes = notes
 
 
-@dataclass(frozen=True)
 class MonitorSpec:
-    name: str
-    properties: tuple
-    merged: Term | None
-    topics: frozenset
-    verdict_polarity: str = "satisfaction-is-detection"
-    # Per literal topic, the event keys that some atom on it reads; None when
-    # some atom's topic is not a literal string, so any key of any event may
-    # be read.
-    fields: dict | None = None
+    __slots__ = ("name", "properties", "merged", "topics", "verdict_polarity", "fields")
+
+    def __init__(self, name, properties, merged, topics,
+                 verdict_polarity="satisfaction-is-detection", fields=None):
+        self.name = name
+        self.properties = properties
+        self.merged = merged  # a Term, or None
+        self.topics = topics
+        self.verdict_polarity = verdict_polarity
+        # Per literal topic, the event keys that some atom on it reads; None
+        # when some atom's topic is not a literal string, so any key of any
+        # event may be read.
+        self.fields = fields
 
     def property_ids(self):
         return tuple(p.id for p in self.properties)

@@ -10,7 +10,6 @@ was noise for it). The three-valued verdict is sticky.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
@@ -53,17 +52,28 @@ _PROGRESS = MatchOutcome.PROGRESS
 _GUARD_FAIL = MatchOutcome.GUARD_FAIL
 
 
-@dataclass(frozen=True)
 class Alternative:
-    """One live interpretation of the stream: residual term + bindings."""
+    """One live interpretation of the stream: residual term + bindings. It
+    equals another with an equal term and equal bindings, which is how
+    ``Monitor.step`` drops duplicates."""
 
-    term: object
-    env: Env
+    __slots__ = ("term", "env")
+
+    def __init__(self, term, env):
+        self.term = term
+        self.env = env
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.term, self.env) == (other.term, other.env)
 
 
-@dataclass(frozen=True, slots=True)
 class StepDiagnostics:
-    outcome: str  # progressed | eliminated | neutral | dropped | decided
+    __slots__ = ("outcome",)
+
+    def __init__(self, outcome):
+        self.outcome = outcome  # progressed | eliminated | neutral | dropped | decided
 
 
 # Every step with the same outcome returns the same record.
@@ -286,24 +296,30 @@ class Monitor:
         return self._bindings
 
 
-@dataclass(slots=True)
 class VerdictEntry:
     """One output row per input event."""
 
-    event_index: int
-    verdict: Verdict
-    property: str
-    live_branches: tuple = ()
-    bindings: MappingProxyType | None = None
-    skipped: bool = False
+    __slots__ = ("event_index", "verdict", "property", "live_branches", "bindings",
+                 "skipped")
+
+    def __init__(self, event_index, verdict, property, live_branches=(), bindings=None,
+                 skipped=False):
+        self.event_index = event_index
+        self.verdict = verdict
+        self.property = property
+        self.live_branches = live_branches
+        self.bindings = bindings  # a read-only mapping, or None
+        self.skipped = skipped
 
 
-@dataclass
 class RunResult:
-    verdicts: list  # (event_index, Verdict) pairs, one per input event
-    records: list  # VerdictEntry per input event
-    state: Monitor
-    final_verdict: Verdict
+    __slots__ = ("verdicts", "records", "state", "final_verdict")
+
+    def __init__(self, verdicts, records, state, final_verdict):
+        self.verdicts = verdicts  # (event_index, Verdict) pairs, one per input event
+        self.records = records  # VerdictEntry per input event
+        self.state = state  # the Monitor
+        self.final_verdict = final_verdict
 
 
 # The step outcomes after which a monitor's alternatives were replaced, and

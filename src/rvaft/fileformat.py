@@ -13,7 +13,6 @@ import io
 import json
 import logging
 import re
-from dataclasses import dataclass
 
 from .errors import GuardParseError, SchemaError, TreeParseError
 from .model import GATE_KINDS, NODE_CLASSES, GateSpec, RvaftNode, RvaftTree
@@ -386,11 +385,26 @@ def serialize_tree(tree):
 # Traces
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TraceStats:
-    lines: int = 0
-    events: int = 0
-    malformed: int = 0
+    """Counts of one read: non-blank lines, events yielded, lines skipped as
+    malformed."""
+
+    __slots__ = ("lines", "events", "malformed")
+
+    def __init__(self, lines=0, events=0, malformed=0):
+        self.lines = lines
+        self.events = events
+        self.malformed = malformed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.lines, self.events, self.malformed)
+                == (other.lines, other.events, other.malformed))
+
+    def __repr__(self):
+        return (f"TraceStats(lines={self.lines!r}, events={self.events!r}, "
+                f"malformed={self.malformed!r})")
 
 
 # A line this short, in which no "e" is followed by a digit or a sign and no

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
 
 from .errors import RootAnnotationError, RootRemovalError, UnknownNodeError
-from .terms import EventAnnotation
 
 log = logging.getLogger(__name__)
 
@@ -26,39 +24,76 @@ NODE_CLASSES = (FAULT, ATTACK, NEUTRAL)
 GATE_KINDS = ("AND", "OR", "SAND_LR", "SAND_RL", "VOT")
 
 
-@dataclass(frozen=True)
+# Trees, nodes and gates equal others of their class with equal fields, so
+# that a tree read back from its document equals the tree written.
+
 class GateSpec:
     """A logical connector: kind, ordered children, and k for voting gates."""
 
-    kind: str
-    children: tuple
-    k: int | None = None
+    __slots__ = ("kind", "children", "k")
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind: {self.kind!r}")
-        if not self.children:
+    def __init__(self, kind, children, k=None):
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind: {kind!r}")
+        if not children:
             raise ValueError("a gate needs at least one child")
+        self.kind = kind
+        self.children = children
+        self.k = k
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.children, self.k) == (other.kind, other.children, other.k)
+
+    def __repr__(self):
+        return f"GateSpec(kind={self.kind!r}, children={self.children!r}, k={self.k!r})"
 
 
-@dataclass(frozen=True)
 class RvaftNode:
-    id: str
-    label: str = ""
-    node_class: str = NEUTRAL
-    annotation: EventAnnotation | None = None
-    gate: GateSpec | None = None
+    __slots__ = ("id", "label", "node_class", "annotation", "gate")
+
+    def __init__(self, id, label="", node_class=NEUTRAL, annotation=None, gate=None):
+        self.id = id
+        self.label = label
+        self.node_class = node_class
+        self.annotation = annotation  # an EventAnnotation, or None
+        self.gate = gate  # a GateSpec, or None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.id, self.label, self.node_class, self.annotation, self.gate)
+                == (other.id, other.label, other.node_class, other.annotation, other.gate))
+
+    def __repr__(self):
+        return (f"RvaftNode(id={self.id!r}, label={self.label!r}, "
+                f"node_class={self.node_class!r}, annotation={self.annotation!r}, "
+                f"gate={self.gate!r})")
 
     @property
     def is_leaf(self):
         return self.gate is None
 
+    def with_gate(self, gate):
+        return RvaftNode(self.id, self.label, self.node_class, self.annotation, gate)
 
-@dataclass(frozen=True)
+
 class RvaftTree:
-    name: str
-    root: str
-    nodes: dict  # id -> RvaftNode; insertion order is the document order
+    __slots__ = ("name", "root", "nodes")
+
+    def __init__(self, name, root, nodes):
+        self.name = name
+        self.root = root
+        self.nodes = nodes  # id -> RvaftNode; insertion order is the document order
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.root, self.nodes) == (other.name, other.root, other.nodes)
+
+    def __repr__(self):
+        return f"RvaftTree(name={self.name!r}, root={self.root!r}, nodes={self.nodes!r})"
 
     def node(self, node_id):
         try:
@@ -81,10 +116,12 @@ class RvaftTree:
         return seen
 
 
-@dataclass(frozen=True)
 class Violation:
-    node_id: str
-    message: str
+    __slots__ = ("node_id", "message")
+
+    def __init__(self, node_id, message):
+        self.node_id = node_id
+        self.message = message
 
     def __str__(self):
         return f"{self.node_id}: {self.message}"
@@ -199,7 +236,7 @@ def prune(tree, remove):
             if kids != node.gate.children:
                 changed = True
             if not kids:
-                nodes[nid] = replace(node, gate=None)
+                nodes[nid] = node.with_gate(None)
                 continue
             if len(kids) == 1:
                 collapsed[nid] = kids[0]
@@ -212,7 +249,7 @@ def prune(tree, remove):
                 k = len(kids)
                 changed = True
             if kids != node.gate.children or k != node.gate.k:
-                nodes[nid] = replace(node, gate=GateSpec(node.gate.kind, kids, k))
+                nodes[nid] = node.with_gate(GateSpec(node.gate.kind, kids, k))
         for nid in collapsed:
             changed = True
             survivor = collapsed[nid]
@@ -225,7 +262,7 @@ def prune(tree, remove):
                 gate = other.gate
                 if gate is not None and nid in gate.children:
                     kids = tuple(survivor if c == nid else c for c in gate.children)
-                    nodes[other_id] = replace(other, gate=GateSpec(gate.kind, kids, gate.k))
+                    nodes[other_id] = other.with_gate(GateSpec(gate.kind, kids, gate.k))
 
     pruned = RvaftTree(tree.name, root, nodes)
     keep = set(pruned.reachable())
@@ -240,5 +277,6 @@ def annotate(tree, node_id, ann):
     if node_id == tree.root:
         raise RootAnnotationError(node_id)
     nodes = dict(tree.nodes)
-    nodes[node_id] = replace(nodes[node_id], annotation=ann)
+    old = nodes[node_id]
+    nodes[node_id] = RvaftNode(old.id, old.label, old.node_class, ann, old.gate)
     return RvaftTree(tree.name, tree.root, nodes)

@@ -83,11 +83,13 @@ def values_equal(a, b):
 # Environments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Env:
     """Immutable partial map from variable names to values (bind-once)."""
 
-    items: tuple = ()
+    __slots__ = ("items",)
+
+    def __init__(self, items=()):
+        self.items = items
 
     @staticmethod
     def empty():
@@ -111,6 +113,14 @@ class Env:
     def as_dict(self):
         return dict(self.items)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        return hash(self.items)
+
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.items)
         return f"Env({inner})"
@@ -121,31 +131,86 @@ class Env:
 # ---------------------------------------------------------------------------
 
 class GuardExpr:
-    """Base class for guard expression nodes."""
+    """Base class for guard expression nodes. A node equals another of its
+    class with equal fields, and hashes by them; nothing assigns to a field
+    after construction."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(GuardExpr):
-    value: object
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # In tuples, as before, so that a value is equal to itself (a NaN too).
+        return (self.value,) == (other.value,)
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"Const(value={self.value!r})"
 
 
-@dataclass(frozen=True)
 class Var(GuardExpr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        return f"Var(name={self.name!r})"
 
 
-@dataclass(frozen=True)
 class BinOp(GuardExpr):
-    op: str  # one of + - < <= > >= == != and or
-    left: GuardExpr
-    right: GuardExpr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op, left, right):
+        self.op = op  # one of + - < <= > >= == != and or
+        self.left = left
+        self.right = right
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.op, self.left, self.right) == (other.op, other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.op, self.left, self.right))
+
+    def __repr__(self):
+        return f"BinOp(op={self.op!r}, left={self.left!r}, right={self.right!r})"
 
 
-@dataclass(frozen=True)
 class NotOp(GuardExpr):
-    operand: GuardExpr
+    __slots__ = ("operand",)
+
+    def __init__(self, operand):
+        self.operand = operand
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.operand == other.operand
+
+    def __hash__(self):
+        return hash(self.operand)
+
+    def __repr__(self):
+        return f"NotOp(operand={self.operand!r})"
 
 
 _ORDERED_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -231,15 +296,26 @@ def eval_guard(g, env):
 # Event annotations and matching
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Bind:
     """Pattern matcher that binds (or re-checks) a variable."""
 
-    var: str
+    __slots__ = ("var",)
 
-    def __post_init__(self):
-        if not VAR_NAME_RE.match(self.var):
-            raise ValueError(f"bad variable name: {self.var!r}")
+    def __init__(self, var):
+        if not VAR_NAME_RE.match(var):
+            raise ValueError(f"bad variable name: {var!r}")
+        self.var = var
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.var == other.var
+
+    def __hash__(self):
+        return hash(self.var)
+
+    def __repr__(self):
+        return f"Bind(var={self.var!r})"
 
 
 @dataclass(frozen=True)
@@ -309,10 +385,20 @@ class MatchOutcome(enum.Enum):
     NO_MATCH = "no_match"
 
 
-@dataclass(frozen=True)
 class MatchResult:
-    outcome: MatchOutcome
-    env: Env | None = None
+    __slots__ = ("outcome", "env")
+
+    def __init__(self, outcome, env=None):
+        self.outcome = outcome
+        self.env = env
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.outcome, self.env) == (other.outcome, other.env)
+
+    def __repr__(self):
+        return f"MatchResult(outcome={self.outcome!r}, env={self.env!r})"
 
 
 # The results that carry no bindings are shared.

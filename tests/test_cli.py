@@ -1,8 +1,12 @@
+import contextlib
 import gc
 import io
 import json
 import os
 import random
+import re
+import select
+import signal
 import socket
 import subprocess
 import sys
@@ -362,6 +366,87 @@ def test_tcp_verdicts_arrive_while_the_sender_holds_the_connection(tree_path, tm
     assert not thread.is_alive()
     assert result["code"] == 2
     assert out.read_text().splitlines() == lines
+
+
+@contextlib.contextmanager
+def _listening_child():
+    """`rvaft run --listen 0` in a child process at RVAFT_LOG=info; yields it
+    once it logs the port it listens on, with that port and what it wrote to
+    stderr after that line."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+               RVAFT_LOG="info")
+    cmd = [sys.executable, "-m", "rvaft.cli", "run",
+           str(CASES / "remote_inspection.rvaft.json"), "--listen", "0"]
+    # A shell may start the tests with SIGINT ignored, which a child would
+    # inherit; a handled signal is reset to its default in the child.
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    with proc:
+        try:
+            fd, err = proc.stderr.fileno(), b""
+            deadline = time.monotonic() + 30
+            while not (match := re.search(rb"INFO rvaft: listening on 127\.0\.0\.1:(\d+)\n",
+                                          err)):
+                left = deadline - time.monotonic()
+                chunk = os.read(fd, 4096) if select.select([fd], [], [], max(left, 0))[0] else b""
+                if not chunk:
+                    raise RuntimeError(f"the child logged no port: {err!r}")
+                err += chunk
+            yield proc, int(match.group(1)), err[match.end():]
+        finally:
+            proc.kill()
+
+
+def test_listen_0_logs_the_port_it_is_bound_to(tmp_path):
+    trace = tmp_path / "bad.trace.jsonl"
+    main(["simulate", "fault-moving", "bad", "-o", str(trace)])
+    with _listening_child() as (proc, port, _):
+        assert port != 0
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            conn.sendall(trace.read_bytes())
+        out, err = proc.communicate(timeout=30)
+    assert proc.returncode == 2, err
+    assert [json.loads(line)["verdict"] for line in out.splitlines()] == ["?", "?", "?", "top"]
+
+
+def test_sigint_while_listening_exits_130_without_a_traceback():
+    with _listening_child() as (proc, _, before):
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    assert proc.returncode == 130
+    assert out == b""
+    assert (before + err).decode() == "interrupted\n"
+
+
+@pytest.mark.parametrize("read", [0, 1, 7, 20])
+def test_an_interrupt_writes_the_line_of_every_event_read(tree_path, tmp_path, monkeypatch,
+                                                          capsys, read):
+    """A replay batches its lines; an interrupt after ``read`` events still
+    writes all of them, the last one ``?`` as it stood, since the input did
+    not end."""
+    trace = tmp_path / "good.trace.jsonl"
+    main(["simulate", "fault-moving", "good", "--noise", "30", "--seed", "1", "-o", str(trace)])
+    whole = tmp_path / "whole.verdicts.jsonl"
+    assert main(["run", tree_path, "--trace", str(trace), "-o", str(whole)]) == 0
+    capsys.readouterr()
+    read_trace = cli.read_trace
+
+    def interrupted(*args):
+        for i, event in enumerate(read_trace(*args)):
+            if i == read:
+                raise KeyboardInterrupt
+            yield event
+
+    monkeypatch.setattr(cli, "read_trace", interrupted)
+    out = tmp_path / "out.verdicts.jsonl"
+    assert main(["run", tree_path, "--trace", str(trace), "-o", str(out)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    lines = out.read_text().splitlines()
+    assert lines == whole.read_text().splitlines()[:read]
+    assert all(json.loads(line)["verdict"] == "?" for line in lines)
 
 
 class _CountingStdout:
