@@ -16,6 +16,7 @@ import logging
 
 from .errors import InvalidKError, UnclassifiedBranchError
 from .model import ATTACK, FAULT, NEUTRAL, validate
+from .record import Record
 from .terms import (
     Atom,
     Check,
@@ -23,6 +24,7 @@ from .terms import (
     Let,
     Seq,
     Shuffle,
+    Term,
     Union,
     iter_atoms,
     seq,
@@ -103,56 +105,23 @@ def translate_vot(k, children):
 # Branch spines
 # ---------------------------------------------------------------------------
 
-# A spine segment equals another of its class with equal fields; _factor
-# compares spines by value to find the head and tail that arms share.
+# A spine is a tuple of segments: a term (an atom, or the whole term of an
+# AND or VOT gate), a CheckSeg or a UnionSeg. Segments compare by value;
+# _factor finds the head and tail that arms share that way.
 
-class AtomSeg:
-    __slots__ = ("ann",)
-
-    def __init__(self, ann):
-        self.ann = ann
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ann == other.ann
-
-
-class CheckSeg:
+class CheckSeg(Record):
     __slots__ = ("guard", "on_guard_fail")
 
     def __init__(self, guard, on_guard_fail=None):
         self.guard = guard
         self.on_guard_fail = on_guard_fail
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.guard, self.on_guard_fail) == (other.guard, other.on_guard_fail)
 
-
-class TermSeg:
-    __slots__ = ("term",)
-
-    def __init__(self, term):
-        self.term = term
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.term == other.term
-
-
-class UnionSeg:
+class UnionSeg(Record):
     __slots__ = ("arms",)
 
     def __init__(self, arms):
         self.arms = arms  # tuple of spines (each a tuple of segments)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.arms == other.arms
 
 
 def fold_spine(spine):
@@ -166,10 +135,8 @@ def fold_spine(spine):
                 )
             else:
                 parts.append(Check(seg.guard))
-        elif isinstance(seg, AtomSeg):
-            parts.append(Atom(seg.ann))
-        elif isinstance(seg, TermSeg):
-            parts.append(seg.term)
+        elif isinstance(seg, Term):
+            parts.append(seg)
         elif isinstance(seg, UnionSeg):
             arms = [fold_spine(arm) for arm in seg.arms]
             folded = arms[-1]
@@ -292,7 +259,7 @@ def _build_spine(tree, nid, choices, visited, notes):
     ann = node.annotation
     prefix = []
     if ann is not None:
-        prefix = [AtomSeg(ann) if ann.pattern else CheckSeg(ann.guard, ann.on_guard_fail)]
+        prefix = [Atom(ann) if ann.pattern else CheckSeg(ann.guard, ann.on_guard_fail)]
     gate = node.gate
     if gate is None:
         return tuple(prefix)
@@ -321,9 +288,9 @@ def _build_spine(tree, nid, choices, visited, notes):
             for child in gate.children
         ]
         if gate.kind == "AND":
-            arms.append((TermSeg(translate_and(child_terms)),))
+            arms.append((translate_and(child_terms),))
         else:
-            arms.append((TermSeg(translate_vot(gate.k, child_terms)),))
+            arms.append((translate_vot(gate.k, child_terms),))
     return tuple(prefix) + _factor(arms)
 
 

@@ -14,6 +14,7 @@ from enum import Enum
 from types import MappingProxyType
 
 from .errors import TypeMismatchError, UnknownPropertyError
+from .record import Record
 from .terms import (
     Atom,
     Check,
@@ -52,7 +53,7 @@ _PROGRESS = MatchOutcome.PROGRESS
 _GUARD_FAIL = MatchOutcome.GUARD_FAIL
 
 
-class Alternative:
+class Alternative(Record):
     """One live interpretation of the stream: residual term + bindings. It
     equals another with an equal term and equal bindings, which is how
     ``Monitor.step`` drops duplicates."""
@@ -62,11 +63,6 @@ class Alternative:
     def __init__(self, term, env):
         self.term = term
         self.env = env
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.term, self.env) == (other.term, other.env)
 
 
 class StepDiagnostics:

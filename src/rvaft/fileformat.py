@@ -16,6 +16,7 @@ import re
 
 from .errors import GuardParseError, SchemaError, TreeParseError
 from .model import GATE_KINDS, NODE_CLASSES, GateSpec, RvaftNode, RvaftTree
+from .record import Record
 from .terms import (
     Atom,
     Bind,
@@ -199,7 +200,15 @@ def _format_const(value):
         return "true" if value else "false"
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
-    return repr(value)
+    text = repr(value)
+    if isinstance(value, float) and "e" in text:
+        # repr gives a non-integer an exponent only below 1e-4, and the guard
+        # parser reads none: write the same shortest digits positionally.
+        mantissa, exponent = text.split("e")
+        sign = "-" if mantissa.startswith("-") else ""
+        digits = mantissa.lstrip("-").replace(".", "")
+        return f"{sign}0.{'0' * (-int(exponent) - 1)}{digits}"
+    return text
 
 
 def print_guard(g, parent_prec=0):
@@ -385,7 +394,7 @@ def serialize_tree(tree):
 # Traces
 # ---------------------------------------------------------------------------
 
-class TraceStats:
+class TraceStats(Record):
     """Counts of one read: non-blank lines, events yielded, lines skipped as
     malformed."""
 
@@ -395,16 +404,6 @@ class TraceStats:
         self.lines = lines
         self.events = events
         self.malformed = malformed
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.lines, self.events, self.malformed)
-                == (other.lines, other.events, other.malformed))
-
-    def __repr__(self):
-        return (f"TraceStats(lines={self.lines!r}, events={self.events!r}, "
-                f"malformed={self.malformed!r})")
 
 
 # A line this short, in which no "e" is followed by a digit or a sign and no

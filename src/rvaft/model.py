@@ -11,6 +11,7 @@ import logging
 import re
 
 from .errors import RootAnnotationError, RootRemovalError, UnknownNodeError
+from .record import Record
 
 log = logging.getLogger(__name__)
 
@@ -27,7 +28,7 @@ GATE_KINDS = ("AND", "OR", "SAND_LR", "SAND_RL", "VOT")
 # Trees, nodes and gates equal others of their class with equal fields, so
 # that a tree read back from its document equals the tree written.
 
-class GateSpec:
+class GateSpec(Record):
     """A logical connector: kind, ordered children, and k for voting gates."""
 
     __slots__ = ("kind", "children", "k")
@@ -41,16 +42,8 @@ class GateSpec:
         self.children = children
         self.k = k
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.children, self.k) == (other.kind, other.children, other.k)
 
-    def __repr__(self):
-        return f"GateSpec(kind={self.kind!r}, children={self.children!r}, k={self.k!r})"
-
-
-class RvaftNode:
+class RvaftNode(Record):
     __slots__ = ("id", "label", "node_class", "annotation", "gate")
 
     def __init__(self, id, label="", node_class=NEUTRAL, annotation=None, gate=None):
@@ -60,17 +53,6 @@ class RvaftNode:
         self.annotation = annotation  # an EventAnnotation, or None
         self.gate = gate  # a GateSpec, or None
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.id, self.label, self.node_class, self.annotation, self.gate)
-                == (other.id, other.label, other.node_class, other.annotation, other.gate))
-
-    def __repr__(self):
-        return (f"RvaftNode(id={self.id!r}, label={self.label!r}, "
-                f"node_class={self.node_class!r}, annotation={self.annotation!r}, "
-                f"gate={self.gate!r})")
-
     @property
     def is_leaf(self):
         return self.gate is None
@@ -79,21 +61,13 @@ class RvaftNode:
         return RvaftNode(self.id, self.label, self.node_class, self.annotation, gate)
 
 
-class RvaftTree:
+class RvaftTree(Record):
     __slots__ = ("name", "root", "nodes")
 
     def __init__(self, name, root, nodes):
         self.name = name
         self.root = root
         self.nodes = nodes  # id -> RvaftNode; insertion order is the document order
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.root, self.nodes) == (other.name, other.root, other.nodes)
-
-    def __repr__(self):
-        return f"RvaftTree(name={self.name!r}, root={self.root!r}, nodes={self.nodes!r})"
 
     def node(self, node_id):
         try:

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .errors import TypeMismatchError, UnboundVariableError
+from .record import Record
 
 VAR_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -83,10 +84,11 @@ def values_equal(a, b):
 # Environments
 # ---------------------------------------------------------------------------
 
-class Env:
+class Env(Record):
     """Immutable partial map from variable names to values (bind-once)."""
 
     __slots__ = ("items",)
+    __hash__ = Record.field_hash
 
     def __init__(self, items=()):
         self.items = items
@@ -113,14 +115,6 @@ class Env:
     def as_dict(self):
         return dict(self.items)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self):
-        return hash(self.items)
-
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.items)
         return f"Env({inner})"
@@ -130,12 +124,12 @@ class Env:
 # Guard expressions
 # ---------------------------------------------------------------------------
 
-class GuardExpr:
-    """Base class for guard expression nodes. A node equals another of its
-    class with equal fields, and hashes by them; nothing assigns to a field
-    after construction."""
+class GuardExpr(Record):
+    """Base class for guard expression nodes, hashed by their fields; nothing
+    assigns to a field after construction."""
 
     __slots__ = ()
+    __hash__ = Record.field_hash
 
 
 class Const(GuardExpr):
@@ -144,35 +138,12 @@ class Const(GuardExpr):
     def __init__(self, value):
         self.value = value
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # In tuples, as before, so that a value is equal to itself (a NaN too).
-        return (self.value,) == (other.value,)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"Const(value={self.value!r})"
-
 
 class Var(GuardExpr):
     __slots__ = ("name",)
 
     def __init__(self, name):
         self.name = name
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def __repr__(self):
-        return f"Var(name={self.name!r})"
 
 
 class BinOp(GuardExpr):
@@ -183,34 +154,12 @@ class BinOp(GuardExpr):
         self.left = left
         self.right = right
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.op, self.left, self.right) == (other.op, other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.op, self.left, self.right))
-
-    def __repr__(self):
-        return f"BinOp(op={self.op!r}, left={self.left!r}, right={self.right!r})"
-
 
 class NotOp(GuardExpr):
     __slots__ = ("operand",)
 
     def __init__(self, operand):
         self.operand = operand
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.operand == other.operand
-
-    def __hash__(self):
-        return hash(self.operand)
-
-    def __repr__(self):
-        return f"NotOp(operand={self.operand!r})"
 
 
 _ORDERED_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -296,26 +245,16 @@ def eval_guard(g, env):
 # Event annotations and matching
 # ---------------------------------------------------------------------------
 
-class Bind:
+class Bind(Record):
     """Pattern matcher that binds (or re-checks) a variable."""
 
     __slots__ = ("var",)
+    __hash__ = Record.field_hash
 
     def __init__(self, var):
         if not VAR_NAME_RE.match(var):
             raise ValueError(f"bad variable name: {var!r}")
         self.var = var
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.var == other.var
-
-    def __hash__(self):
-        return hash(self.var)
-
-    def __repr__(self):
-        return f"Bind(var={self.var!r})"
 
 
 @dataclass(frozen=True)
@@ -385,20 +324,12 @@ class MatchOutcome(enum.Enum):
     NO_MATCH = "no_match"
 
 
-class MatchResult:
+class MatchResult(Record):
     __slots__ = ("outcome", "env")
 
     def __init__(self, outcome, env=None):
         self.outcome = outcome
         self.env = env
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.outcome, self.env) == (other.outcome, other.env)
-
-    def __repr__(self):
-        return f"MatchResult(outcome={self.outcome!r}, env={self.env!r})"
 
 
 # The results that carry no bindings are shared.

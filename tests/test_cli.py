@@ -91,6 +91,16 @@ def test_annotate_cli(full_tree_path, tmp_path):
     assert ann.bound_vars() == ("Level",)
 
 
+def test_an_annotated_guard_with_a_small_constant_validates(full_tree_path, tmp_path, capsys):
+    out = tmp_path / "annotated.rvaft.json"
+    assert main(["annotate", full_tree_path, "--node", "battery_dead", "--name", "battery",
+                 "--pattern", '{"topic": "battery", "charge": {"bind": "C"}}',
+                 "--guard", "C >= 0.00001", "-o", str(out)]) == 0
+    assert '"guard": "C >= 0.00001"' in out.read_text()
+    assert main(["validate", str(out), "--no-runtime-ready"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_branches_table(tree_path, capsys):
     assert main(["branches", tree_path]) == 0
     out = capsys.readouterr().out

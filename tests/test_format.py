@@ -27,10 +27,14 @@ from rvaft.terms import Atom, Bind, EventAnnotation, canonical_topic
 
 
 def test_shipped_tree_parses_to_case_study():
-    """The package-data tree and the one in cases/ are the same document."""
+    """The package-data tree and the one in cases/ are the same document: the
+    imported package's copy and the checkout's, which differ when the tests
+    run against an installed package."""
     shipped = (CASES / "remote_inspection.rvaft.json").read_bytes()
     packaged = resources.files("rvaft").joinpath("data/remote_inspection.rvaft.json")
     assert packaged.read_bytes() == shipped
+    source = CASES.parent / "src" / "rvaft" / "data" / "remote_inspection.rvaft.json"
+    assert source.read_bytes() == shipped
     assert validate(parse_tree(shipped), runtime_ready=True) == []
 
 

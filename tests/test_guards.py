@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rvaft.errors import GuardParseError
@@ -59,13 +59,13 @@ _consts = st.one_of(
 )
 
 
-def _guards(depth):
+def _guards(depth, consts=_consts):
     if depth == 0:
-        return st.one_of(_vars.map(Var), _consts)
-    sub = _guards(depth - 1)
+        return st.one_of(_vars.map(Var), consts)
+    sub = _guards(depth - 1, consts)
     return st.one_of(
         _vars.map(Var),
-        _consts,
+        consts,
         st.tuples(st.sampled_from(["+", "-", "<", "<=", ">", ">=", "==", "!=",
                                    "and", "or"]), sub, sub).map(
             lambda t: BinOp(*t)
@@ -82,3 +82,19 @@ def test_print_parse_is_a_fixpoint(g):
     reparsed = parse_guard(text)
     assert print_guard(reparsed) == text
     assert parse_guard(print_guard(reparsed)) == reparsed
+
+
+# The parser reads no sign and no exponent, so these are the numbers a guard
+# can spell; the small ones are those repr writes with an exponent.
+_numbers = st.one_of(
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0, max_value=1e-4),
+).map(Const)
+
+
+@given(_guards(3, st.one_of(_numbers, _consts)))
+@settings(max_examples=300, deadline=None)
+@example(BinOp(">=", Var("C"), Const(1e-05)))
+@example(Const(5e-324))
+def test_parse_reads_back_the_printed_guard(g):
+    assert parse_guard(print_guard(g)) == g

@@ -4,7 +4,9 @@ value semantics the code relies on.
 Creating a dataclass generates and compiles its methods at import, which
 `rvaft run` pays on every spawn; only the term nodes (which
 `perfbench/tracer.py` walks with `dataclasses.fields`) and `EventAnnotation`
-(whose `fields` and `replace` `test_terms.py` uses) stay dataclasses.
+(whose `fields` and `replace` `test_terms.py` uses) stay dataclasses. The
+records compared by value derive equality and repr from their `__slots__`
+through `rvaft.record.Record`; the rest compare by identity.
 """
 
 import os
@@ -15,7 +17,7 @@ import pytest
 
 from conftest import CASES
 
-from rvaft.compiler import AtomSeg, BranchProperty, CheckSeg, MonitorSpec, TermSeg, UnionSeg
+from rvaft.compiler import BranchProperty, CheckSeg, MonitorSpec, UnionSeg
 from rvaft.engine import Alternative, RunResult, StepDiagnostics, Verdict, VerdictEntry
 from rvaft.fileformat import TraceStats, parse_guard, parse_tree, serialize_tree
 from rvaft.model import GateSpec, RvaftNode, RvaftTree, Violation
@@ -60,7 +62,7 @@ def test_only_term_nodes_and_the_named_exceptions_are_dataclasses():
 
 ANN = EventAnnotation("move", (("topic", "command"), ("waypoint", Bind("W"))))
 GUARD = parse_guard("T2 >= T1 + 10")
-SPINE = (AtomSeg(ANN), CheckSeg(GUARD))
+SPINE = (Atom(ANN), CheckSeg(GUARD))
 
 # Class, the fields of one record, the fields of another that differs in one.
 VALUE_RECORDS = [
@@ -71,9 +73,7 @@ VALUE_RECORDS = [
     (NotOp, (Var("ok"),), (Var("ko"),)),
     (Bind, ("W",), ("V",)),
     (MatchResult, (MatchOutcome.PROGRESS, Env()), (MatchOutcome.NO_MATCH, None)),
-    (AtomSeg, (ANN,), (EventAnnotation("inspect", (("topic", "inspect"),)),)),
     (CheckSeg, (GUARD, "violate"), (GUARD, None)),
-    (TermSeg, (Atom(ANN),), (EPSILON,)),
     (UnionSeg, ((SPINE, ()),), ((SPINE,),)),
     (Alternative, (Atom(ANN), Env()), (Atom(ANN), Env((("W", 1.0),)))),
     (GateSpec, ("VOT", ("a", "b"), 1), ("VOT", ("a", "b"), 2)),
@@ -100,15 +100,23 @@ def test_records_compare_by_class_and_fields(cls, fields, other):
 def test_records_of_two_classes_with_equal_fields_are_unequal():
     assert Var("x") != Bind("x")
     assert Const("x") != Var("x")
-    assert AtomSeg(ANN) != TermSeg(ANN)
-    assert TermSeg((SPINE,)) != UnionSeg((SPINE,))
     assert CheckSeg(GUARD) != NotOp(GUARD)
+    assert UnionSeg((SPINE,)) != Env((SPINE,))
 
 
-# The records that tests compare have a repr, so that a failed comparison
-# shows both sides; those only the code compares have none.
-REPR_RECORDS = [(c, f) for c, f, _ in VALUE_RECORDS
-                if c not in (AtomSeg, CheckSeg, TermSeg, UnionSeg, Alternative)]
+def test_only_env_guard_nodes_and_bind_hash():
+    hashable = {cls for cls, _, _ in VALUE_RECORDS if cls.__hash__ is not None}
+    assert hashable == {Env, Const, Var, BinOp, NotOp, Bind}
+
+
+def test_a_field_equals_itself_even_when_it_is_a_nan():
+    nan = Const(float("nan"))
+    assert nan == nan and not nan != nan
+    assert BinOp("<", nan, Var("x")) == BinOp("<", nan, Var("x"))
+
+
+# Every value record has a repr, so that a failed comparison shows both sides.
+REPR_RECORDS = [(c, f) for c, f, _ in VALUE_RECORDS]
 
 
 @pytest.mark.parametrize("cls, fields", REPR_RECORDS, ids=[c.__name__ for c, _ in REPR_RECORDS])
@@ -121,8 +129,8 @@ def test_repr_names_the_class_and_its_fields(cls, fields):
             f"{name}={value!r}" for name, value in zip(cls.__slots__, fields)))
 
 
-def test_plain_records_hold_their_fields_in_slots():
-    records = [
+def plain_records():
+    return [
         BranchProperty("phi1", ("a",), "fault", EPSILON, ()),
         MonitorSpec("t", (), None, frozenset()),
         StepDiagnostics("neutral"),
@@ -130,9 +138,18 @@ def test_plain_records_hold_their_fields_in_slots():
         RunResult([], [], None, Verdict.UNKNOWN),
         Violation("a", "no such node"),
     ]
+
+
+def test_plain_records_hold_their_fields_in_slots():
+    records = plain_records()
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
     assert str(records[-1]) == "a: no such node"
+
+
+def test_plain_records_compare_by_identity():
+    for a, b in zip(plain_records(), plain_records()):
+        assert a == a and a != b and hash(a) != hash(b), type(a).__name__
 
 
 @pytest.mark.parametrize("name", ["remote_inspection", "full_inspection"])
