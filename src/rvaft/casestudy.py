@@ -16,9 +16,6 @@ picture; the altered goal is 2, the honest goal is 1.
 
 from __future__ import annotations
 
-import random
-from importlib import resources
-
 from .fileformat import parse_tree
 from .terms import normalize_event
 
@@ -117,6 +114,8 @@ _NOISE_TOPICS = ("/odom", "/tf", "/camera/image_raw")
 
 def noise_events(n, rng=None, t0=0.5, t1=40.0):
     """Benign events: low radiation readings and unrelated-topic chatter."""
+    import random
+
     rng = rng or random.Random(0)
     out = []
     for _ in range(n):
@@ -131,6 +130,8 @@ def noise_events(n, rng=None, t0=0.5, t1=40.0):
 
 def interleave(trace, noise, rng=None):
     """Insert noise events at random positions, keeping trace order."""
+    import random
+
     rng = rng or random.Random(0)
     out = list(trace)
     for ev in noise:
@@ -140,6 +141,8 @@ def interleave(trace, noise, rng=None):
 
 def tree_document():
     """The shipped monitor-ready tree document (package data)."""
+    from importlib import resources
+
     return (
         resources.files("rvaft").joinpath("data/remote_inspection.rvaft.json").read_text()
     )

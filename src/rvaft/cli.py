@@ -14,7 +14,6 @@ import contextlib
 import json
 import logging
 import os
-import random
 import sys
 
 from . import casestudy
@@ -285,6 +284,8 @@ def cmd_run(args):
 def cmd_simulate(args):
     trace = casestudy.scenario_trace(args.scenario, args.outcome)
     if args.noise:
+        import random
+
         rng = random.Random(args.seed)
         trace = casestudy.interleave(trace, casestudy.noise_events(args.noise, rng), rng)
     _write_text(args.output, "".join(format_event(ev) + "\n" for ev in trace))

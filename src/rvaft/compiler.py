@@ -20,14 +20,12 @@ from .record import Record
 from .terms import (
     Atom,
     Check,
-    EPSILON,
     Let,
     Seq,
     Shuffle,
     Term,
     Union,
     iter_atoms,
-    seq,
     seq_all,
     term_bind_vars,
     term_topics,
@@ -79,26 +77,21 @@ def translate_sand(children, direction="LR"):
 
 
 def translate_vot(k, children):
-    """At-least-k-of-n: unrolled so each already-seen child drops out.
+    """At-least-k-of-n: any k of the children, interleaved as in AND.
 
-    vot(0, S) accepts immediately; vot(k, S) is the union over each child e
-    of e followed by vot(k-1, S minus e).
+    vot(n, S) is AND and vot(1, S) is OR; otherwise the first child either
+    is one of the k, shuffled with k-1 of the rest, or k of the rest occur.
     """
     children = list(children)
     n = len(children)
     if not 1 <= k <= n:
         raise InvalidKError(k, n)
-
-    def unroll(k, pool):
-        if k == 0:
-            return EPSILON
-        arms = []
-        for i, t in enumerate(pool):
-            rest = pool[:i] + pool[i + 1 :]
-            arms.append(seq(t, unroll(k - 1, rest)))
-        return translate_or(arms)
-
-    return unroll(k, children)
+    if k == n:
+        return translate_and(children)
+    if k == 1:
+        return translate_or(children)
+    first, rest = children[0], children[1:]
+    return Union(Shuffle(first, translate_vot(k - 1, rest)), translate_vot(k, rest))
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +280,8 @@ def _build_spine(tree, nid, choices, visited, notes):
             fold_spine(_build_spine(tree, child, pick, visited, notes))
             for child in gate.children
         ]
-        if gate.kind == "AND":
-            arms.append((translate_and(child_terms),))
-        else:
-            arms.append((translate_vot(gate.k, child_terms),))
+        k = len(child_terms) if gate.kind == "AND" else gate.k
+        arms.append((translate_vot(k, child_terms),))
     return tuple(prefix) + _factor(arms)
 
 

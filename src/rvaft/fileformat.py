@@ -13,6 +13,7 @@ import io
 import json
 import logging
 import re
+import sys
 
 from .errors import GuardParseError, SchemaError, TreeParseError
 from .model import GATE_KINDS, NODE_CLASSES, GateSpec, RvaftNode, RvaftTree
@@ -194,10 +195,16 @@ def _guard_prec(g):
 
 
 def _format_const(value):
-    if isinstance(value, str):
+    """The text of a constant the guard parser reads back as it: a string
+    without a quote, or a double that is finite and not negative."""
+    if isinstance(value, str) and "'" not in value:
         return f"'{value}'"
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float))
+        and 0 <= value <= sys.float_info.max
+        and float(value) == value
+    ):
+        raise ValueError(f"guard constant {value!r} has no text that reads back as it")
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     text = repr(value)

@@ -43,7 +43,7 @@ def test_c1_gate_translation_golden():
     ok &= translate_sand([A, B, C], "LR") == Seq(A, Seq(B, C))
     ok &= translate_sand([A, B, C], "RL") == Seq(C, Seq(B, A))
     ok &= translate_vot(2, [A, B, C]) == Union(
-        Seq(A, Union(B, C)), Union(Seq(B, Union(A, C)), Seq(C, Union(A, B)))
+        Shuffle(A, Union(B, C)), Shuffle(B, C)
     )
     elapsed = time.perf_counter() - start
     check("C1 gate translations produce the expected term shapes",

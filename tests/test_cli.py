@@ -622,6 +622,53 @@ def test_cli_import_leaves_out_what_a_run_does_not_use():
     assert out.strip() == "[]"
 
 
+def test_cli_import_leaves_out_what_only_simulate_uses():
+    """Only `simulate` draws noise and only the shipped tree reads package
+    data, so importing the command line loads neither `random` nor
+    `importlib.resources`. Run without `site`, which may import them itself."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    check = ("import rvaft.cli, sys; "
+             "print(sorted({'random', 'importlib.resources'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", check], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_simulate_help_lists_the_scenarios_and_outcomes(capsys):
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    out = capsys.readouterr().out
+    assert "{fault-moving,fault-at-waypoint,attack-moving,attack-at-waypoint}" in out
+    assert "{bad,good}" in out
+
+
+def test_run_all_detects_a_vote_over_interleaved_sequences(tmp_path, capsys):
+    """Two of three children of a vote, each a two-event sequence, detect
+    when their events interleave, as under an AND gate."""
+    def leaf(name):
+        return {"class": "attack", "event": {"name": name, "pattern": {"topic": name}}}
+
+    doc = {
+        "name": "vote", "root": "root",
+        "nodes": {
+            "root": {"gate": {"kind": "VOT", "k": 2, "children": ["a", "b", "c"]}},
+            "a": {"gate": {"kind": "SAND_LR", "children": ["a1", "a2"]}},
+            "b": {"gate": {"kind": "SAND_LR", "children": ["b1", "b2"]}},
+            **{name: leaf(name) for name in ("a1", "a2", "b1", "b2", "c")},
+        },
+    }
+    tree = tmp_path / "vote.rvaft.json"
+    tree.write_text(json.dumps(doc))
+    trace = tmp_path / "t.trace.jsonl"
+    trace.write_text("".join(json.dumps({"topic": t}) + "\n" for t in ("a1", "b1", "a2", "b2")))
+    out = tmp_path / "out.verdicts.jsonl"
+    code = main(["run", str(tree), "--trace", str(trace), "--property", "all", "-o", str(out)])
+    assert code == 2, capsys.readouterr().err
+    for which in ("merged", "phi1"):
+        lines = (tmp_path / f"out.{which}.verdicts.jsonl").read_text().splitlines()
+        assert [json.loads(line)["verdict"] for line in lines] == ["?", "?", "?", "top"]
+
+
 def test_stdin_bytes_that_are_not_utf8_are_replaced_as_in_a_trace_file(tmp_path):
     """An interpreter whose stdin decodes with strict errors still reads a
     line with a byte that is not UTF-8, as --trace does."""

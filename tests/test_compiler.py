@@ -1,4 +1,9 @@
+import dataclasses
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import plain_atom, plain_event
 
@@ -17,7 +22,7 @@ from rvaft.fileformat import parse_guard
 from rvaft.model import GateSpec, RvaftNode, RvaftTree
 from rvaft.oracle import language
 from rvaft.engine import Monitor, Verdict
-from rvaft.terms import Atom, Bind, Check, Env, EventAnnotation, Let, Seq, Shuffle, Union
+from rvaft.terms import Atom, Bind, Check, Env, EventAnnotation, Let, Seq, Shuffle, Term, Union
 
 A, B, C = (plain_atom(x) for x in "abc")
 EVENTS = [plain_event(x) for x in "abc"]
@@ -86,10 +91,7 @@ def test_sand_directions():
 
 def test_vot_two_of_three_shape():
     term = translate_vot(2, [A, B, C])
-    assert term == Union(
-        Seq(A, Union(B, C)),
-        Union(Seq(B, Union(A, C)), Seq(C, Union(A, B))),
-    )
+    assert term == Union(Shuffle(A, Union(B, C)), Shuffle(B, C))
 
 
 def test_vot_bounds():
@@ -101,6 +103,58 @@ def test_vot_bounds():
 def test_vot_language_laws():
     assert lang(translate_vot(1, [A, B, C])) == lang(translate_or([A, B, C]))
     assert lang(translate_vot(3, [A, B, C])) == lang(translate_and([A, B, C]))
+
+
+def test_vot_of_all_or_one_child_is_and_or_or():
+    for n in (1, 2, 3, 4):
+        atoms = [plain_atom(x) for x in "abcd"[:n]]
+        assert translate_vot(n, atoms) == translate_and(atoms)
+        assert translate_vot(1, atoms) == translate_or(atoms)
+
+
+def test_vot_children_interleave_as_in_and():
+    """Two of three children, two of them two-event sequences: the trace
+    a1 b1 a2 b2 completes both sequences, interleaved."""
+    a1, a2, b1, b2, c = (plain_atom(x) for x in ("a1", "a2", "b1", "b2", "c"))
+    term = translate_vot(2, [Seq(a1, a2), Seq(b1, b2), c])
+    monitor = Monitor(term)
+    for name in ("a1", "b1", "a2", "b2"):
+        monitor.step(plain_event(name))
+    assert monitor.verdict == Verdict.SATISFIED
+
+
+_VOT_EVENTS = [plain_event(x) for x in "abcdef"]
+_vot_atoms = st.sampled_from("abcdef").map(plain_atom)
+_vot_children = st.lists(
+    st.one_of(_vot_atoms, st.tuples(_vot_atoms, _vot_atoms).map(lambda p: Seq(*p))),
+    min_size=1, max_size=4,
+)
+
+
+@given(_vot_children, st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_vot_language_is_the_union_of_and_over_k_subsets(children, k):
+    k = min(k, len(children))
+    expected = set()
+    for subset in itertools.combinations(children, k):
+        expected |= lang(translate_and(subset), _VOT_EVENTS, max_len=4)
+    assert lang(translate_vot(k, children), _VOT_EVENTS, max_len=4) == expected
+
+
+def _term_nodes(term):
+    stack, count = [term], 0
+    while stack:
+        node = stack.pop()
+        count += 1
+        stack.extend(v for v in (getattr(node, f.name) for f in dataclasses.fields(node))
+                     if isinstance(v, Term))
+    return count
+
+
+def test_vot_term_grows_with_the_subsets_not_the_orderings():
+    # The ordered unrolling was 12!/6! = 665,280 arms; the subsets are C(12,6) = 924.
+    atoms = [plain_atom(f"a{i}") for i in range(12)]
+    assert _term_nodes(translate_vot(6, atoms)) <= 3500
 
 
 # ---------------------------------------------------------------------------

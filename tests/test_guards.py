@@ -1,10 +1,13 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rvaft.errors import GuardParseError
-from rvaft.fileformat import parse_guard, print_guard
-from rvaft.terms import BinOp, Const, NotOp, Var
+from rvaft.fileformat import parse_guard, print_guard, serialize_tree
+from rvaft.model import RvaftNode, RvaftTree
+from rvaft.terms import BinOp, Const, EventAnnotation, NotOp, Var
 
 
 def test_parse_timeout_guard():
@@ -98,3 +101,17 @@ _numbers = st.one_of(
 @example(Const(5e-324))
 def test_parse_reads_back_the_printed_guard(g):
     assert parse_guard(print_guard(g)) == g
+
+
+@pytest.mark.parametrize("guard", [
+    BinOp("==", Var("ok"), Const(True)),  # `true` would read back as a variable
+    BinOp("==", Var("s"), Const("it's")),  # the parser reads no escaped quote
+    BinOp("<", Var("x"), Const(-2.5)),  # nor a sign
+])
+def test_a_constant_the_parser_cannot_read_back_is_not_printed(guard):
+    with pytest.raises(ValueError, match=re.escape(repr(guard.right.value))):
+        print_guard(guard)
+    ann = EventAnnotation("e", (("topic", "t"),), guard)
+    tree = RvaftTree("t", "e", {"e": RvaftNode("e", node_class="fault", annotation=ann)})
+    with pytest.raises(ValueError, match=re.escape(repr(guard.right.value))):
+        serialize_tree(tree)
