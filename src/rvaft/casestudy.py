@@ -112,11 +112,8 @@ def scenario_events(scenario, outcome):
 _NOISE_TOPICS = ("/odom", "/tf", "/camera/image_raw")
 
 
-def noise_events(n, rng=None, t0=0.5, t1=40.0):
+def noise_events(n, rng, t0=0.5, t1=40.0):
     """Benign events: low radiation readings and unrelated-topic chatter."""
-    import random
-
-    rng = rng or random.Random(0)
     out = []
     for _ in range(n):
         time = round(rng.uniform(t0, t1), 3)
@@ -128,15 +125,21 @@ def noise_events(n, rng=None, t0=0.5, t1=40.0):
     return out
 
 
-def interleave(trace, noise, rng=None):
+def interleave(trace, noise, rng):
     """Insert noise events at random positions, keeping trace order."""
-    import random
-
-    rng = rng or random.Random(0)
     out = list(trace)
     for ev in noise:
         out.insert(rng.randrange(len(out) + 1), ev)
     return out
+
+
+def noisy_trace(trace, n, seed):
+    """`trace` with `n` noise events interleaved, drawn from one RNG seeded
+    with `seed`."""
+    import random
+
+    rng = random.Random(seed)
+    return interleave(trace, noise_events(n, rng), rng)
 
 
 def tree_document():

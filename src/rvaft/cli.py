@@ -284,10 +284,7 @@ def cmd_run(args):
 def cmd_simulate(args):
     trace = casestudy.scenario_trace(args.scenario, args.outcome)
     if args.noise:
-        import random
-
-        rng = random.Random(args.seed)
-        trace = casestudy.interleave(trace, casestudy.noise_events(args.noise, rng), rng)
+        trace = casestudy.noisy_trace(trace, args.noise, args.seed)
     _write_text(args.output, "".join(format_event(ev) + "\n" for ev in trace))
     return 0
 

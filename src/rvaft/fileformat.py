@@ -195,16 +195,10 @@ def _guard_prec(g):
 
 
 def _format_const(value):
-    """The text of a constant the guard parser reads back as it: a string
-    without a quote, or a double that is finite and not negative."""
-    if isinstance(value, str) and "'" not in value:
+    if isinstance(value, str):
         return f"'{value}'"
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float))
-        and 0 <= value <= sys.float_info.max
-        and float(value) == value
-    ):
-        raise ValueError(f"guard constant {value!r} has no text that reads back as it")
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     text = repr(value)
@@ -218,10 +212,26 @@ def _format_const(value):
     return text
 
 
+def _reads_back(value):
+    """Whether the guard parser reads the printed constant back as it: a
+    string without a quote, or a double that is finite and not negative."""
+    if isinstance(value, str):
+        return "'" not in value
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 <= value <= sys.float_info.max
+        and float(value) == value
+    )
+
+
 def print_guard(g, parent_prec=0):
-    """Canonical textual form; printing then parsing is a fixpoint."""
+    """Canonical textual form; printing then parsing is a fixpoint. Raises
+    ValueError for a constant whose text would not read back as it."""
     prec = _guard_prec(g)
     if isinstance(g, Const):
+        if not _reads_back(g.value):
+            raise ValueError(f"guard constant {g.value!r} has no text that reads back as it")
         text = _format_const(g.value)
     elif isinstance(g, Var):
         text = g.name

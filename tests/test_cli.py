@@ -134,6 +134,29 @@ def test_compile_merged_and_split(tree_path, tmp_path):
     assert len([l for l in split.read_text().splitlines() if l.startswith("Main_phi")]) == 4
 
 
+def test_compile_prints_boolean_and_negative_pattern_values(tmp_path, capsys):
+    """Pattern values are printed, never parsed back, so the guard printer's
+    read-back refusal does not apply to them."""
+    def leaf(name, pattern):
+        return {"class": "fault", "event": {"name": name, "pattern": pattern}}
+
+    doc = {
+        "name": "pat", "root": "root",
+        "nodes": {
+            "root": {"gate": {"kind": "AND", "children": ["a", "b"]}},
+            "a": leaf("a", {"topic": "x", "ok": True}),
+            "b": leaf("b", {"topic": "y", "v": -1, "w": -2.5, "z": False}),
+        },
+    }
+    path = tmp_path / "pat.rvaft.json"
+    path.write_text(json.dumps(doc))
+    for merge in ([], ["--merge"]):
+        assert main(["compile", str(path), *merge]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["a matches { topic: 'x', ok: true };",
+                           "b matches { topic: 'y', v: -1, w: -2.5, z: false };"]
+
+
 def test_simulate_fault_moving_block(tmp_path):
     out = tmp_path / "t.trace.jsonl"
     assert main(["simulate", "fault-moving", "bad", "-o", str(out)]) == 0
