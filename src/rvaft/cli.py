@@ -5,12 +5,18 @@ Exit codes: 0 no detection (verdict stayed violated/unknown), 1 usage or
 input error, 2 detection (the monitored fault/attack was observed), 130
 interrupted (SIGINT). The detection polarity is deliberate: these properties
 describe bad scenarios, so satisfaction is the alarming outcome.
+
+``run`` calls ``gc.freeze()`` once its runners are built, before the first
+event: what is alive then lives until exit, and the collections run at
+interpreter exit no longer walk it. A ``main`` called in-process (tests, a
+traced benchmark run) freezes that process's heap too.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import logging
 import os
@@ -251,6 +257,7 @@ def cmd_run(args):
                 out = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
             writers.append(_VerdictWriter(out, batch))
         steps = [(runner.feed, writer.push) for runner, writer in zip(runners, writers)]
+        gc.freeze()
         try:
             for event in events:
                 for feed, push in steps:

@@ -28,6 +28,7 @@ from .terms import (
     Union,
     canonical_topic,
     check_term,
+    guard_vars,
     match_event,
     nullable,
     seq,
@@ -148,15 +149,18 @@ def _may_be_empty(term):
 
 
 def _frontier(term, out):
-    """Add to ``out`` the literal topic of every atom that may consume the
-    term's next event. Returns False when such an atom has no literal string
-    topic (bound to a variable, guard-only, or no topic key): any event may
-    reach it."""
+    """Add to ``out`` every atom that may consume the term's next event: its
+    literal topic maps to the list of their distinct annotations. Returns
+    False when such an atom has no literal string topic (bound to a
+    variable, guard-only, or no topic key): any event may reach it."""
     if isinstance(term, Atom):
-        topic = term.ann.topic()
+        ann = term.ann
+        topic = ann.topic()
         if not isinstance(topic, str):
             return False
-        out.add(topic)
+        anns = out.setdefault(topic, [])
+        if ann not in anns:
+            anns.append(ann)
         return True
     if isinstance(term, Seq):
         if not _frontier(term.left, out):
@@ -167,6 +171,19 @@ def _frontier(term, out):
     if isinstance(term, Let):
         return _frontier(term.body, out)
     return True  # Empty, Epsilon and Check consume nothing
+
+
+def _decides_alone(ann):
+    """Whether matching the annotation under no bindings settles it under
+    every binding: its guard reads only what its own pattern binds, and a
+    failed guard skips. Earlier bindings can then only narrow the pattern
+    match, the guard sees the same values, and a failed match can neither
+    progress an alternative nor eliminate one."""
+    return ann.effective_policy() == "skip" and (
+        ann.guard is None or guard_vars(ann.guard) <= set(ann.bound_vars()))
+
+
+_NO_BINDINGS = Env.empty()
 
 
 class Monitor:
@@ -189,6 +206,12 @@ class Monitor:
     or, on the frontier, to None (derive). Any other topic gets
     ``_unrouted``: dropped under a topic filter, else neutral while there is
     a frontier, else None.
+
+    An event on the frontier is first tried against ``_tests``: for a topic
+    whose next atoms all decide alone (see ``_decides_alone``), it holds
+    those atoms' annotations. If none of them matches the event under no
+    bindings, no alternative can progress or be eliminated, so the event is
+    neutral without deriving. A topic with any other next atom derives.
     """
 
     def __init__(self, term, topics=None, strict=False):
@@ -221,10 +244,13 @@ class Monitor:
             bindings.update(alt.env.items)
         self._bindings = MappingProxyType(bindings)
         self.frontier = None
+        self._tests = {}
         if not self.strict:
-            topics = set()
-            if all(_frontier(a.term, topics) for a in alternatives):
-                self.frontier = frozenset(topics)
+            atoms = {}
+            if all(_frontier(a.term, atoms) for a in alternatives):
+                self.frontier = frozenset(atoms)
+                self._tests = {topic: tuple(anns) for topic, anns in atoms.items()
+                               if all(map(_decides_alone, anns))}
         frontier = self.frontier
         if self._spellings is None:
             self._route = dict.fromkeys(frontier or (), None)
@@ -259,6 +285,18 @@ class Monitor:
         if skip is not None:
             self.skipped += 1
             return skip
+        # Without a frontier _tests is empty, and the topic may not hash.
+        tests = self._tests.get(topic) if self._tests else None
+        if tests is not None:
+            for ann in tests:
+                try:
+                    if match_event(ann, event, _NO_BINDINGS).outcome is _PROGRESS:
+                        break
+                except TypeMismatchError:
+                    pass
+            else:
+                self.skipped += 1
+                return _NEUTRAL
 
         candidates = []  # what replaces the alternatives, in their order
         neutral = True

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +9,11 @@ from conftest import SCENARIO_PROPERTY, gen_term, gen_trace, plain_atom, plain_e
 
 from rvaft import engine
 from rvaft.casestudy import interleave, noise_events, scenario_events
-from rvaft.compiler import BranchProperty, MonitorSpec
+from rvaft.compiler import BranchProperty, MonitorSpec, compile_tree
 from rvaft.engine import Monitor, TraceRunner, Verdict, run_trace
 from rvaft.errors import UnknownPropertyError
-from rvaft.fileformat import parse_guard
+from rvaft.fileformat import parse_guard, parse_tree
+from rvaft.model import annotate
 from rvaft.oracle import oracle_verdict
 from rvaft.terms import (
     NO_MATCH,
@@ -260,7 +262,7 @@ SUBSCRIBED = {"t_a", "t_b", "t_c"}
 
 
 def _refuse(*_args):
-    raise AssertionError("an off-frontier event reached the derivation")
+    raise AssertionError("an event that needs no derivation reached it")
 
 
 def test_off_frontier_event_is_skipped_without_deriving(monkeypatch):
@@ -312,6 +314,89 @@ def test_frontier_looks_past_a_check_and_a_nullable_head():
     assert Monitor(Shuffle(Seq(A, B), C)).frontier == {"t_a", "t_c"}
 
 
+# ---------------------------------------------------------------------------
+# Atom tests: an event on the frontier that no next atom takes on its own
+# ---------------------------------------------------------------------------
+
+RADIATION = "radiation_sensor_plugin/sensor_0"
+
+
+def _waiting_runner(full_tree):
+    """The merged runner of the full tree, with the imagery vote and the
+    battery leaf annotated, after move(0), two low-confidence reports and
+    inspect(0): its monitors wait for a high radiation reading."""
+    tree = full_tree
+    for leaf, var in (("camera_blur", "CBlur"), ("barrel_missed", "CBarrel"),
+                      ("leak_missed", "CLeak")):
+        tree = annotate(tree, leaf, EventAnnotation(
+            leaf, (("topic", "imagery/report"), ("confidence", Bind(var))),
+            parse_guard(f"{var} < 0.5")))
+    tree = annotate(tree, "battery_dead", EventAnnotation(
+        "battery_dead", (("topic", "battery"), ("level", Bind("Level"))),
+        parse_guard("Level <= 0")))
+    runner = TraceRunner(compile_tree(tree, do_merge=True), "merged")
+    for ev in ({"topic": "command", "name": "move", "waypoint": 0.0, "time": 1.0},
+               {"topic": "imagery/report", "confidence": 0.2, "time": 1.5},
+               {"topic": "imagery/report", "confidence": 0.3, "time": 2.0},
+               {"topic": "command", "name": "inspect", "waypoint": 0.0, "time": 3.0}):
+        runner.feed(ev)
+    return runner
+
+
+def _reading(value, time):
+    return {"topic": RADIATION, "value": value, "time": time}
+
+
+def test_low_readings_while_waiting_are_noise_without_deriving(full_tree, monkeypatch):
+    runner = _waiting_runner(full_tree)
+    monitors = [runner.monitor, *runner.shadows.values()]
+    assert len(runner.monitor.alternatives) == 18
+    held = [m.alternatives for m in monitors]
+    monkeypatch.setattr(engine, "_derive", _refuse)
+    for i in range(20):
+        ev = _reading(20.0 + 5 * i, 4.0 + i / 20)
+        assert [m.step(ev).outcome for m in monitors] == ["neutral"] * len(monitors)
+    assert all(m.alternatives is alts for m, alts in zip(monitors, held))
+    monkeypatch.undo()
+    assert runner.monitor.step(_reading(300.0, 6.0)).outcome == "progressed"
+
+
+@pytest.mark.parametrize("derive", [False, True], ids=["atom-test", "derivation"])
+def test_a_string_reading_is_noise_as_the_derivation_makes_it(derive, full_tree, monkeypatch):
+    if derive:
+        monkeypatch.setattr(engine, "_frontier", lambda _term, _out: False)
+    runner = _waiting_runner(full_tree)
+    if not derive:
+        monkeypatch.setattr(engine, "_derive", _refuse)
+    m = runner.monitor
+    alternatives = m.alternatives
+    assert m.step(_reading("high", 4.0)).outcome == "neutral"
+    assert m.alternatives is alternatives
+
+
+def test_a_skip_guard_over_an_earlier_binding_still_derives():
+    """The hostile tree's `end` atom skips when its guard fails, but the
+    guard reads `V`, which `start` binds: under no bindings it matches
+    nothing, so its events must be derived."""
+    spec = compile_tree(parse_tree(
+        (Path(__file__).parent / "data" / "hostile.rvaft.json").read_bytes()))
+    on_a = next(p.term for p in spec.properties if p.path == ("on_a",))
+    m = Monitor(on_a, topics=spec.topics)
+    assert m.step({"topic": "a", "kind": "start", "v": 1.0}).outcome == "progressed"
+    assert m.step({"topic": "a", "kind": "end", "v": 5.0}).outcome == "neutral"
+    assert m.step({"topic": "a", "kind": "end", "v": 15.0}).outcome == "progressed"
+    assert m.verdict is Verdict.SATISFIED
+
+
+def test_a_self_contained_guard_that_violates_still_eliminates():
+    hot = Atom(EventAnnotation("hot", (("topic", "t_r"), ("value", Bind("X"))),
+                               parse_guard("X >= 250"), on_guard_fail="violate"))
+    m = Monitor(Seq(A, hot))
+    m.step(EA)
+    assert m.step({"topic": "t_r", "value": 10.0}).outcome == "eliminated"
+    assert m.verdict is Verdict.VIOLATED
+
+
 def _spec(*terms):
     """A spec with no topic filter whose branches phi1, phi2, ... are
     ``terms`` and whose merged term is their union."""
@@ -322,10 +407,11 @@ def _spec(*terms):
 
 def _replay(spec, which, trace, strict):
     """Per step of the ``which`` runner's monitor: outcome, alternatives,
-    verdict and skip count; and how many steps met an event off the
-    frontier. After every event the cached bindings equal those merged
-    afresh from the alternatives, and the record `feed` returned carries the
-    attribution and bindings computed afresh."""
+    verdict and skip count; how many steps met an event off the frontier;
+    and how many met one whose topic's next atoms were tested alone. After
+    every event the cached bindings equal those merged afresh from the
+    alternatives, and the record `feed` returned carries the attribution and
+    bindings computed afresh."""
     runner = TraceRunner(spec, which, strict=strict)
     m = runner.monitor
     diags = []
@@ -336,43 +422,49 @@ def _replay(spec, which, trace, strict):
 
     m.step = step
     rows = []
-    off_frontier = 0
+    off_frontier = atom_tested = 0
     for ev in trace:
-        off_frontier += (m.verdict is Verdict.UNKNOWN and m.frontier is not None
-                         and ev.get("topic") not in m.frontier)
+        if m.verdict is Verdict.UNKNOWN and m.frontier is not None:
+            off_frontier += ev.get("topic") not in m.frontier
+            atom_tested += ev.get("topic") in m._tests
         record = runner.feed(ev)
         assert m.bindings() == {k: v for a in m.alternatives for k, v in a.env.items}
         assert record.live_branches == runner.attribution()
         assert record.bindings == (m.bindings() or None)
         diag = diags[-1]
         rows.append((diag.outcome, tuple(m.alternatives), m.verdict, m.skipped))
-    return rows, off_frontier
+    return rows, off_frontier, atom_tested
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
 def test_frontier_skip_matches_full_derivation_and_oracle(strict, monkeypatch):
     """On terms with wildcard atoms and check-headed sequences, and on events
-    no atom names, every step equals the step that derives every event, and
-    (outside strict mode, which the oracle does not model) the verdict
-    equals the oracle's."""
+    no atom names or whose `v` is a string or a boolean (which a numeric
+    guard cannot compare), every step equals the step that derives every
+    event, and (outside strict mode, which the oracle does not model) the
+    verdict equals the oracle's."""
     rng = random.Random(777)
-    skipped = 0
+    skipped = tested = 0
     for _ in range(400):
         term, _ = gen_term(rng, wild=True)
-        trace = gen_trace(rng, wild=True)
-        fast, off_frontier = _replay(_spec(term), "phi1", trace, strict)
+        trace = [dict(ev, v=rng.choice(("1", True))) if "v" in ev and rng.random() < 0.2
+                 else ev for ev in gen_trace(rng, wild=True)]
+        fast, off_frontier, atom_tested = _replay(_spec(term), "phi1", trace, strict)
         skipped += off_frontier
+        tested += atom_tested
         with monkeypatch.context() as patched:
             patched.setattr(engine, "_frontier", lambda _term, _out: False)
-            full, _ = _replay(_spec(term), "phi1", trace, strict)
+            full, _, _ = _replay(_spec(term), "phi1", trace, strict)
         assert fast == full, (term, trace)
         if not strict:
             verdict = fast[-1][2] if fast else Monitor(term).verdict
             assert verdict == oracle_verdict(term, trace), (term, trace)
     if strict:
-        assert skipped == 0
+        assert skipped == tested == 0
     else:
-        assert skipped > 100  # the fast path is exercised, not bypassed
+        # Both fast paths are exercised, not bypassed.
+        assert skipped > 100
+        assert tested >= 100
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
