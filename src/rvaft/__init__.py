@@ -30,7 +30,6 @@ from .terms import (
     Env,
     Epsilon,
     EventAnnotation,
-    Let,
     Seq,
     Shuffle,
     Term,
@@ -44,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom", "Bind", "BranchProperty", "Check", "Empty", "Env", "Epsilon",
-    "EventAnnotation", "GateSpec", "Let", "Monitor", "MonitorSpec", "RunResult",
+    "EventAnnotation", "GateSpec", "Monitor", "MonitorSpec", "RunResult",
     "RvaftError", "RvaftNode", "RvaftTree", "Seq", "Shuffle", "Term",
     "TraceRunner", "Union", "Verdict", "Violation", "annotate", "compile_tree",
     "decompose", "emit_spec", "eval_guard", "match_event",

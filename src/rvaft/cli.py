@@ -30,7 +30,7 @@ from .fileformat import (
     TraceStats,
     emit_spec,
     format_event,
-    parse_guard,
+    parse_annotation,
     parse_tree,
     read_trace,
     serialize_tree,
@@ -38,7 +38,6 @@ from .fileformat import (
     verdict_record_line,
 )
 from .model import annotate as annotate_node, prune, validate
-from .terms import Bind, EventAnnotation, normalize_value
 
 log = logging.getLogger("rvaft")
 
@@ -92,16 +91,9 @@ def cmd_prune(args):
 
 def cmd_annotate(args):
     tree = _load_tree(args.tree)
-    pattern = []
-    if args.pattern:
-        raw = json.loads(args.pattern)
-        for key, value in raw.items():
-            if isinstance(value, dict) and set(value) == {"bind"}:
-                pattern.append((key, Bind(value["bind"])))
-            else:
-                pattern.append((key, normalize_value(value)))
-    guard = parse_guard(args.guard) if args.guard else None
-    ann = EventAnnotation(args.name, tuple(pattern), guard, args.on_guard_fail)
+    event = {"name": args.name, "pattern": json.loads(args.pattern or "{}"),
+             "guard": args.guard, "on_guard_fail": args.on_guard_fail}
+    ann = parse_annotation(args.node, {k: v for k, v in event.items() if v is not None})
     _write_text(args.output, serialize_tree(annotate_node(tree, args.node, ann)))
     return 0
 

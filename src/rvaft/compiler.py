@@ -20,14 +20,12 @@ from .record import Record
 from .terms import (
     Atom,
     Check,
-    Let,
     Seq,
     Shuffle,
     Term,
     Union,
     iter_atoms,
     seq_all,
-    term_bind_vars,
     term_topics,
     union,
 )
@@ -144,14 +142,13 @@ def fold_spine(spine):
 class BranchProperty:
     """One root-to-cause branch of the tree, compiled to a monitor term."""
 
-    __slots__ = ("id", "path", "node_class", "term", "let_vars", "notes")
+    __slots__ = ("id", "path", "node_class", "term", "notes")
 
-    def __init__(self, id, path, node_class, term, let_vars, notes=()):
+    def __init__(self, id, path, node_class, term, notes=()):
         self.id = id
         self.path = path  # chosen child ids at each disjunction, tree order
         self.node_class = node_class  # fault or attack
         self.term = term
-        self.let_vars = let_vars
         self.notes = notes
 
 
@@ -285,13 +282,6 @@ def _build_spine(tree, nid, choices, visited, notes):
     return tuple(prefix) + _factor(arms)
 
 
-def _close(spine):
-    """Fold a spine into a term that declares the variables its atoms bind."""
-    body = fold_spine(spine)
-    let_vars = term_bind_vars(body)
-    return (Let(let_vars, body) if let_vars else body), let_vars
-
-
 def decompose(tree):
     """Split the tree into branch properties, one per disjunction resolution."""
     problems = validate(tree, runtime_ready=True)
@@ -304,7 +294,7 @@ def decompose(tree):
     for i, choices in enumerate(choice_maps, start=1):
         visited = []
         notes = []
-        term, let_vars = _close(_build_spine(tree, tree.root, choices, visited, notes))
+        term = fold_spine(_build_spine(tree, tree.root, choices, visited, notes))
         classes = {tree.nodes[n].node_class for n in visited} - {NEUTRAL}
         path = tuple(choices[nid] for nid in or_nodes if nid in choices)
         if not classes:
@@ -320,7 +310,6 @@ def decompose(tree):
                 path=path,
                 node_class=node_class,
                 term=term,
-                let_vars=let_vars,
                 notes=tuple(notes),
             )
         )
@@ -366,9 +355,9 @@ def merge(tree):
     """
     shared = _shared_disjunctions(tree)
     picks = itertools.product(*(tree.nodes[nid].gate.children for nid in shared))
-    return _close(_factor(
+    return fold_spine(_factor(
         [_build_spine(tree, tree.root, dict(zip(shared, pick)), [], []) for pick in picks]
-    ))[0]
+    ))
 
 
 def read_fields(terms):

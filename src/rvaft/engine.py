@@ -21,13 +21,11 @@ from .terms import (
     Empty,
     Env,
     Epsilon,
-    Let,
     MatchOutcome,
     Seq,
     Shuffle,
     Union,
     canonical_topic,
-    check_term,
     guard_vars,
     match_event,
     nullable,
@@ -128,8 +126,6 @@ def _derive(term, env, ev):
             if not isinstance(nxt, Empty):
                 out.append((nxt, e))
         return out, v1 or v2
-    if isinstance(term, Let):
-        return _derive(term.body, env, ev)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -143,8 +139,6 @@ def _may_be_empty(term):
         return _may_be_empty(term.left) and _may_be_empty(term.right)
     if isinstance(term, Union):
         return _may_be_empty(term.left) or _may_be_empty(term.right)
-    if isinstance(term, Let):
-        return _may_be_empty(term.body)
     return False
 
 
@@ -168,8 +162,6 @@ def _frontier(term, out):
         return not _may_be_empty(term.left) or _frontier(term.right, out)
     if isinstance(term, (Union, Shuffle)):
         return _frontier(term.left, out) and _frontier(term.right, out)
-    if isinstance(term, Let):
-        return _frontier(term.body, out)
     return True  # Empty, Epsilon and Check consume nothing
 
 
@@ -215,7 +207,6 @@ class Monitor:
     """
 
     def __init__(self, term, topics=None, strict=False):
-        check_term(term)
         self.term = term
         self.topics = frozenset(topics) if topics is not None else None
         self._spellings = None
@@ -420,12 +411,14 @@ class TraceRunner:
     def finish(self):
         """End-of-trace judgment: a still-undecided monitor over a completed,
         nonempty trace never exhibited the fault/attack, so it closes to
-        violated, and so does the last record ``feed`` returned. The raw
-        state verdict is left untouched."""
+        violated, and so does the last record ``feed`` returned: no branch is
+        live on it, and its bindings stay those held when the input ended.
+        The raw state verdict is left untouched."""
         if self.last is None:
             return Verdict.UNKNOWN
         if self.monitor.verdict is Verdict.UNKNOWN:
             self.last.verdict = Verdict.VIOLATED
+            self.last.live_branches = ()
             return Verdict.VIOLATED
         return self.monitor.verdict
 

@@ -27,7 +27,6 @@ from .terms import (
     Empty,
     Epsilon,
     EventAnnotation,
-    Let,
     NotOp,
     Seq,
     Shuffle,
@@ -37,15 +36,11 @@ from .terms import (
     iter_atoms,
     normalize_event,
     normalize_value,
+    term_bind_vars,
 )
 from .engine import Verdict
 
 log = logging.getLogger(__name__)
-
-TREE_SUFFIX = ".rvaft.json"
-TRACE_SUFFIX = ".trace.jsonl"
-VERDICTS_SUFFIX = ".verdicts.jsonl"
-SPEC_SUFFIX = ".spec.txt"
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +266,9 @@ def _parse_matcher(node_id, key, raw):
     return value
 
 
-def _parse_annotation(node_id, raw):
+def parse_annotation(node_id, raw):
+    """A node's event annotation from its document object; errors name the
+    node."""
     allowed = {"name", "pattern", "guard", "on_guard_fail"}
     unknown = set(raw) - allowed
     if unknown:
@@ -360,7 +357,7 @@ def parse_tree(data):
             _schema_error(node_id, f"unknown class {node_class!r}")
         gate = _parse_gate(node_id, raw["gate"]) if raw.get("gate") is not None else None
         ann = (
-            _parse_annotation(node_id, raw["event"])
+            parse_annotation(node_id, raw["event"])
             if raw.get("event") is not None
             else None
         )
@@ -635,8 +632,6 @@ def _term_text(term, parenthesize=False):
         return f"({_term_text(term.left, True)} \\/ {_term_text(term.right, True)})"
     if isinstance(term, Shuffle):
         return f"({_term_text(term.left, True)} | {_term_text(term.right, True)})"
-    if isinstance(term, Let):
-        return _term_text(term.body, parenthesize)
     if isinstance(term, Epsilon):
         return "empty"
     if isinstance(term, Empty):
@@ -645,9 +640,11 @@ def _term_text(term, parenthesize=False):
 
 
 def _main_line(label, term):
-    if isinstance(term, Let) and term.vars:
-        body = _term_text(term.body)
-        return f"{label} = {{ let {', '.join(term.vars)}; {body} }}"
+    """The term's line; a ``let`` list declares the variables its atoms bind,
+    in first-occurrence order."""
+    bound = term_bind_vars(term)
+    if bound:
+        return f"{label} = {{ let {', '.join(bound)}; {_term_text(term)} }}"
     return f"{label} = {{ {_term_text(term)} }}"
 
 

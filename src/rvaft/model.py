@@ -69,12 +69,6 @@ class RvaftTree(Record):
         self.root = root
         self.nodes = nodes  # id -> RvaftNode; insertion order is the document order
 
-    def node(self, node_id):
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise UnknownNodeError(node_id) from None
-
     def reachable(self):
         """Node ids reachable from the root, preorder, shared nodes once."""
         seen = []

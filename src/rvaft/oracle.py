@@ -23,7 +23,6 @@ from .terms import (
     Empty,
     Env,
     Epsilon,
-    Let,
     MatchOutcome,
     Seq,
     Shuffle,
@@ -99,8 +98,6 @@ def matches(term, env, events):
                 for e2 in matches(term.right, e1, right):
                     _add_env(out, e2)
         return out
-    if isinstance(term, Let):
-        return matches(term.body, env, events)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -115,8 +112,6 @@ def inhabited(term):
         return inhabited(term.left) and inhabited(term.right)
     if isinstance(term, Union):
         return inhabited(term.left) or inhabited(term.right)
-    if isinstance(term, Let):
-        return inhabited(term.body)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -163,8 +158,6 @@ def prefix_envs(term, env, events):
                 for e2 in prefix_envs(term.right, e1, right):
                     _add_env(out, e2)
         return out
-    if isinstance(term, Let):
-        return prefix_envs(term.body, env, events)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -224,8 +217,6 @@ def _view(term, assignment, env, path=()):
         return _View([(path, term.ann)], False, True)
     if isinstance(term, Check):
         return _View([], _safe_eval(term.guard, env), True)
-    if isinstance(term, Let):
-        return _view(term.body, assignment, env, path + (0,))
     left = _view(term.left, assignment, env, path + (0,))
     right = _view(term.right, assignment, env, path + (1,))
     if isinstance(term, Seq):

@@ -423,12 +423,6 @@ class Shuffle(Term):
     right: Term
 
 
-@dataclass(frozen=True)
-class Let(Term):
-    vars: tuple
-    body: Term
-
-
 EMPTY = Empty()
 EPSILON = Epsilon()
 
@@ -491,8 +485,6 @@ def nullable(term, env):
         return nullable(term.left, env) or nullable(term.right, env)
     if isinstance(term, Shuffle):
         return nullable(term.left, env) and nullable(term.right, env)
-    if isinstance(term, Let):
-        return nullable(term.body, env)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -503,8 +495,6 @@ def iter_atoms(term):
     elif isinstance(term, (Seq, Union, Shuffle)):
         yield from iter_atoms(term.left)
         yield from iter_atoms(term.right)
-    elif isinstance(term, Let):
-        yield from iter_atoms(term.body)
 
 
 def term_bind_vars(term):
@@ -525,16 +515,3 @@ def term_topics(term):
         if t is not None:
             out.add(t)
     return out
-
-
-def check_term(term, bound=frozenset()):
-    """Validate static well-formedness; currently the let-scoping rule."""
-    if isinstance(term, Let):
-        clash = bound & set(term.vars)
-        if clash:
-            raise ValueError(f"let re-declares bound variables: {sorted(clash)}")
-        check_term(term.body, bound | set(term.vars))
-    elif isinstance(term, (Seq, Union, Shuffle)):
-        check_term(term.left, bound)
-        check_term(term.right, bound)
-    return term

@@ -195,36 +195,42 @@ def bench_report(spec, lengths, seed=0, repetitions=5):
     mean).
 
     Each length runs several times and keeps its least-noisy (fastest mean)
-    repetition. A pass over a stream is timed as a whole, so neither a timer
-    call nor a stored sample per event lands in what is measured; the
-    collector is paused while timing so its pauses don't land on arbitrary
-    events. The streams are generated first and the repetitions go
-    round-robin over the lengths, so a drift in host speed reaches every
-    length alike instead of passing for a length effect.
+    repetition. Every repetition times the same number of events for every
+    length, the longest length's: a shorter stream is passed over that many
+    times, each pass with a fresh monitor, so a short stream's mean is not
+    noisier for having been timed over less. The passes are timed as a
+    whole, so neither a timer call nor a stored sample per event lands in
+    what is measured; the collector is paused while timing so its pauses
+    don't land on arbitrary events. The streams are generated first and the
+    repetitions go round-robin over the lengths, so a drift in host speed
+    reaches every length alike instead of passing for a length effect.
     """
     rng = random.Random(seed)
     warm = Monitor(spec.merged, topics=spec.topics)
     for event in _bench_stream(2000, random.Random(seed + 1)):
         warm.step(event)
     streams = [_bench_stream(n, rng) for n in lengths]
+    events_per_repetition = max(lengths)
     best = [None] * len(streams)
     for _ in range(repetitions):
         for i, stream in enumerate(streams):
-            monitor = Monitor(spec.merged, topics=spec.topics)
+            monitors = [Monitor(spec.merged, topics=spec.topics)
+                        for _ in range(events_per_repetition // len(stream))]
             gc_was_enabled = gc.isenabled()
             gc.disable()
             try:
                 t0 = time.perf_counter_ns()
-                for event in stream:
-                    monitor.step(event)
+                for monitor in monitors:
+                    for event in stream:
+                        monitor.step(event)
                 elapsed_ns = time.perf_counter_ns() - t0
             finally:
                 if gc_was_enabled:
                     gc.enable()
-            mean_us = elapsed_ns / len(stream) / 1000.0
+            mean_us = elapsed_ns / (len(monitors) * len(stream)) / 1000.0
             if best[i] is None or mean_us < best[i]["mean_us"]:
                 best[i] = {"events": len(stream), "mean_us": mean_us,
-                           "peak_alternatives": monitor.peak_alternatives}
+                           "peak_alternatives": max(m.peak_alternatives for m in monitors)}
     means = [row["mean_us"] for row in best]
     flatness = max(means) / min(means) if min(means) > 0 else float("inf")
     return best, flatness

@@ -91,6 +91,22 @@ def test_annotate_cli(full_tree_path, tmp_path):
     assert ann.bound_vars() == ("Level",)
 
 
+@pytest.mark.parametrize("pattern", ['{"a": {"bind": 5}}', '[1]'])
+def test_annotate_rejects_a_bad_pattern_with_a_message(pattern, full_tree_path, capsys):
+    assert main(["annotate", full_tree_path, "--node", "battery_dead", "--name", "battery",
+                 "--pattern", pattern]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: battery_dead: ") and captured.err.count("\n") == 1
+
+
+def test_annotate_reads_a_topic_as_a_tree_document_does(full_tree_path, tmp_path):
+    out = tmp_path / "annotated.rvaft.json"
+    assert main(["annotate", full_tree_path, "--node", "battery_dead", "--name", "battery",
+                 "--pattern", '{"topic": "/command"}', "-o", str(out)]) == 0
+    assert '"topic": "command"' in out.read_text()
+
+
 def test_an_annotated_guard_with_a_small_constant_validates(full_tree_path, tmp_path, capsys):
     out = tmp_path / "annotated.rvaft.json"
     assert main(["annotate", full_tree_path, "--node", "battery_dead", "--name", "battery",
@@ -733,6 +749,25 @@ def test_stdin_run_closes_the_held_last_line_at_the_end_of_the_input(tree_path, 
     assert main(["run", tree_path]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [json.loads(line)["verdict"] for line in out] == ["?", "?", "?", "bottom"]
+
+
+@pytest.mark.parametrize("which", ["merged", "phi2"])
+def test_a_closing_line_lists_no_live_branches(which, tree_path, tmp_path, monkeypatch,
+                                               capsys):
+    """Both monitors are still `?` after the last event of a good fault-moving
+    trace. The closing `bottom` line lists no live branch, from a file and
+    from stdin; the merged one keeps the bindings held when the input ended."""
+    trace = tmp_path / "good.trace.jsonl"
+    main(["simulate", "fault-moving", "good", "-o", str(trace)])
+    assert main(["run", tree_path, "--property", which, "--trace", str(trace)]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(trace.read_text()))
+    assert main(["run", tree_path, "--property", which]) == 0
+    assert capsys.readouterr().out == from_file
+    *_, held, closing = map(json.loads, from_file.splitlines())
+    assert held["verdict"] == "?" and held["live_branches"]
+    assert closing["verdict"] == "bottom" and closing["live_branches"] == []
+    assert ("bindings" in closing) == (which == "merged")
 
 
 def test_run_all_from_stdin_matches_all_from_a_file(tree_path, tmp_path, monkeypatch):

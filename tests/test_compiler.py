@@ -22,7 +22,9 @@ from rvaft.fileformat import parse_guard
 from rvaft.model import GateSpec, RvaftNode, RvaftTree
 from rvaft.oracle import language
 from rvaft.engine import Monitor, Verdict
-from rvaft.terms import Atom, Bind, Check, Env, EventAnnotation, Let, Seq, Shuffle, Term, Union
+from rvaft.terms import (
+    Atom, Bind, Check, Env, EventAnnotation, Seq, Shuffle, Term, Union, term_bind_vars,
+)
 
 A, B, C = (plain_atom(x) for x in "abc")
 EVENTS = [plain_event(x) for x in "abc"]
@@ -185,14 +187,15 @@ def test_decompose_case_study_terms(tree):
     assert [p.node_class for p in props] == ["fault", "fault", "attack", "attack"]
 
     phi1 = props[0]
-    assert phi1.term == Let(("Waypoint", "Value", "T1", "NewWp", "T2"), expected_phi1_body(tree))
+    assert phi1.term == expected_phi1_body(tree)
+    assert term_bind_vars(phi1.term) == ("Waypoint", "Value", "T1", "NewWp", "T2")
 
     # phi2 swaps only the first atom.
-    phi2_body = Seq(Atom(ann(tree, "arrived_at_waypoint")), phi1.term.body.right)
-    assert props[1].term.body == phi2_body
+    phi2_body = Seq(Atom(ann(tree, "arrived_at_waypoint")), phi1.term.right)
+    assert props[1].term == phi2_body
 
     # phi3/phi4 carry the goal-alteration tail instead of the timeout guard.
-    phi3 = props[2].term.body
+    phi3 = props[2].term
     tail = phi3.right.right.right
     assert isinstance(tail, Seq)
     assert tail.right == Atom(ann(tree, "goal_sent").with_extra_guard(parse_guard("NewWp != MBGoal")))
@@ -293,9 +296,7 @@ def test_decompose_requires_runtime_ready():
 # ---------------------------------------------------------------------------
 
 def test_merge_case_study_shape(tree, spec):
-    merged = spec.merged
-    assert isinstance(merged, Let)
-    body = merged.body
+    body = spec.merged
     # Head: (move \/ movebase_result), then inspect, radiation, move-away.
     assert body.left == Union(Atom(ann(tree, "move_to_waypoint")),
                               Atom(ann(tree, "arrived_at_waypoint")))
@@ -387,7 +388,7 @@ def test_merged_verdicts_match_any_branch_with_an_or_under_an_and():
         "o": ("OR", ("x", "y")),
     }, leaves="xyc", anns={"x": x.ann})
     merged = merge(tree)
-    assert merged == Let(("X",), Union(Shuffle(x, c), Shuffle(y, c)))
+    assert merged == Union(Shuffle(x, c), Shuffle(y, c))
     trace = [plain_event("c"), {"topic": "t_x", "v": 1.0}, plain_event("y")]
     monitors = [Monitor(merged)] + [Monitor(p.term) for p in decompose(tree)]
     for event in trace:
