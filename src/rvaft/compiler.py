@@ -13,21 +13,19 @@ from __future__ import annotations
 
 import itertools
 import logging
+from dataclasses import replace
 
 from .errors import InvalidKError, UnclassifiedBranchError
 from .model import ATTACK, FAULT, NEUTRAL, validate
-from .record import Record
 from .terms import (
     Atom,
     Check,
     Seq,
     Shuffle,
-    Term,
     Union,
     iter_atoms,
     seq_all,
     term_topics,
-    union,
 )
 
 log = logging.getLogger(__name__)
@@ -96,72 +94,43 @@ def translate_vot(k, children):
 # Branch spines
 # ---------------------------------------------------------------------------
 
-# A spine is a tuple of segments: a term (an atom, or the whole term of an
-# AND or VOT gate), a CheckSeg or a UnionSeg. Segments compare by value;
-# _factor finds the head and tail that arms share that way.
-
-class CheckSeg(Record):
-    __slots__ = ("guard", "on_guard_fail")
-
-    def __init__(self, guard, on_guard_fail=None):
-        self.guard = guard
-        self.on_guard_fail = on_guard_fail
-
-
-class UnionSeg(Record):
-    __slots__ = ("arms",)
-
-    def __init__(self, arms):
-        self.arms = arms  # tuple of spines (each a tuple of segments)
-
+# A spine is a tuple of terms: atoms, the whole term of an AND or VOT gate,
+# and unions. A guard-only leaf enters as an atom with no name and no
+# pattern, so _factor compares it by guard and policy alone; fold_spine then
+# conjoins it into the atom before it, or makes it a check.
 
 def fold_spine(spine):
-    """Fold a spine into a term, conjoining checks into the preceding atom."""
+    """Fold a spine into a sequence term."""
     parts = []
-    for seg in spine:
-        if isinstance(seg, CheckSeg):
+    for t in spine:
+        if isinstance(t, Atom) and not t.ann.pattern:
             if parts and isinstance(parts[-1], Atom):
-                parts[-1] = Atom(
-                    parts[-1].ann.with_extra_guard(seg.guard, seg.on_guard_fail)
-                )
+                t = Atom(parts.pop().ann.with_extra_guard(t.ann.guard, t.ann.on_guard_fail))
             else:
-                parts.append(Check(seg.guard))
-        elif isinstance(seg, Term):
-            parts.append(seg)
-        elif isinstance(seg, UnionSeg):
-            arms = [fold_spine(arm) for arm in seg.arms]
-            folded = arms[-1]
-            for t in reversed(arms[:-1]):
-                folded = union(t, folded)
-            parts.append(folded)
-        else:
-            raise TypeError(f"not a spine segment: {seg!r}")
+                t = Check(t.ann.guard)
+        parts.append(t)
     return seq_all(parts)
 
 
 class BranchProperty:
     """One root-to-cause branch of the tree, compiled to a monitor term."""
 
-    __slots__ = ("id", "path", "node_class", "term", "notes")
+    __slots__ = ("id", "path", "node_class", "term")
 
-    def __init__(self, id, path, node_class, term, notes=()):
+    def __init__(self, id, path, node_class, term):
         self.id = id
         self.path = path  # chosen child ids at each disjunction, tree order
         self.node_class = node_class  # fault or attack
         self.term = term
-        self.notes = notes
 
 
 class MonitorSpec:
-    __slots__ = ("name", "properties", "merged", "topics", "verdict_polarity", "fields")
+    __slots__ = ("properties", "merged", "topics", "fields")
 
-    def __init__(self, name, properties, merged, topics,
-                 verdict_polarity="satisfaction-is-detection", fields=None):
-        self.name = name
+    def __init__(self, properties, merged, topics, fields=None):
         self.properties = properties
         self.merged = merged  # a Term, or None
         self.topics = topics
-        self.verdict_polarity = verdict_polarity
         # Per literal topic, the event keys that some atom on it reads; None
         # when some atom's topic is not a literal string, so any key of any
         # event may be read.
@@ -236,8 +205,8 @@ def _factor(arms):
     s = 0
     while all(len(a) - p > s and a[-1 - s] == arms[0][-1 - s] for a in arms):
         s += 1
-    middles = tuple(a[p : len(a) - s] for a in arms)
-    return arms[0][:p] + (UnionSeg(middles),) + arms[0][len(arms[0]) - s :]
+    middle = translate_or(fold_spine(a[p : len(a) - s]) for a in arms)
+    return arms[0][:p] + (middle,) + arms[0][len(arms[0]) - s :]
 
 
 def _build_spine(tree, nid, choices, visited, notes):
@@ -249,7 +218,7 @@ def _build_spine(tree, nid, choices, visited, notes):
     ann = node.annotation
     prefix = []
     if ann is not None:
-        prefix = [Atom(ann) if ann.pattern else CheckSeg(ann.guard, ann.on_guard_fail)]
+        prefix = [Atom(ann if ann.pattern else replace(ann, name=""))]
     gate = node.gate
     if gate is None:
         return tuple(prefix)
@@ -304,15 +273,7 @@ def decompose(tree):
             notes.append("branch mixes fault and attack leaves; classed as attack")
         for n in notes:
             log.info("phi%d: %s", i, n)
-        props.append(
-            BranchProperty(
-                id=f"phi{i}",
-                path=path,
-                node_class=node_class,
-                term=term,
-                notes=tuple(notes),
-            )
-        )
+        props.append(BranchProperty(f"phi{i}", path, node_class, term))
     return props
 
 
@@ -383,7 +344,6 @@ def compile_tree(tree, do_merge=True):
         topics |= term_topics(p.term)
     terms = [p.term for p in props] + ([merged] if merged is not None else [])
     return MonitorSpec(
-        name=tree.name,
         properties=tuple(props),
         merged=merged,
         topics=frozenset(topics),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from types import MappingProxyType
 
-from .errors import TypeMismatchError, UnknownPropertyError
+from .errors import UnknownPropertyError
 from .record import Record
 from .terms import (
     Atom,
@@ -81,8 +81,7 @@ _ELIMINATED = StepDiagnostics("eliminated")
 
 def _derive(term, env, ev):
     """Successor (term, env) pairs, and whether a guard whose policy is
-    ``violate`` failed. A guard that cannot be evaluated (a type mismatch)
-    is no match.
+    ``violate`` failed.
 
     Successors already apply the unit/absorption simplifications, so a dead
     continuation (e.g. a sequence into Empty) yields no successor at all.
@@ -90,10 +89,7 @@ def _derive(term, env, ev):
     if isinstance(term, (Empty, Epsilon, Check)):
         return [], False
     if isinstance(term, Atom):
-        try:
-            res = match_event(term.ann, ev, env)
-        except TypeMismatchError:
-            return [], False
+        res = match_event(term.ann, ev, env)
         if res.outcome is _PROGRESS:
             return [(Epsilon(), res.env)], False
         return [], res.outcome is _GUARD_FAIL and term.ann.effective_policy() == "violate"
@@ -280,11 +276,8 @@ class Monitor:
         tests = self._tests.get(topic) if self._tests else None
         if tests is not None:
             for ann in tests:
-                try:
-                    if match_event(ann, event, _NO_BINDINGS).outcome is _PROGRESS:
-                        break
-                except TypeMismatchError:
-                    pass
+                if match_event(ann, event, _NO_BINDINGS).outcome is _PROGRESS:
+                    break
             else:
                 self.skipped += 1
                 return _NEUTRAL

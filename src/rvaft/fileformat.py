@@ -38,7 +38,6 @@ from .terms import (
     normalize_value,
     term_bind_vars,
 )
-from .engine import Verdict
 
 log = logging.getLogger(__name__)
 

@@ -17,7 +17,6 @@ from itertools import permutations
 from .engine import Verdict
 from .errors import TypeMismatchError, UnboundVariableError
 from .terms import (
-    NO_MATCH,
     Atom,
     Check,
     Empty,
@@ -31,13 +30,6 @@ from .terms import (
     eval_guard,
     match_event,
 )
-
-
-def _safe_match(ann, event, env):
-    try:
-        return match_event(ann, event, env)
-    except TypeMismatchError:
-        return NO_MATCH
 
 
 def _safe_eval(guard, env):
@@ -72,7 +64,7 @@ def matches(term, env, events):
         return out
     if isinstance(term, Atom):
         if len(events) == 1:
-            res = _safe_match(term.ann, events[0], env)
+            res = match_event(term.ann, events[0], env)
             if res.outcome is MatchOutcome.PROGRESS:
                 out.append(res.env)
         return out
@@ -133,7 +125,7 @@ def prefix_envs(term, env, events):
         if not events:
             out.append(env)
         elif len(events) == 1:
-            res = _safe_match(term.ann, events[0], env)
+            res = match_event(term.ann, events[0], env)
             if res.outcome is MatchOutcome.PROGRESS:
                 out.append(res.env)
         return out
@@ -285,7 +277,7 @@ def oracle_verdict(term, trace, topics=None, max_states=4096):
             successors = []
             violated = False
             for occ_path, ann in view.frontier:
-                res = _safe_match(ann, event, env)
+                res = match_event(ann, event, env)
                 if res.outcome is MatchOutcome.PROGRESS:
                     extended = dict(assignment)
                     extended[occ_path] = j

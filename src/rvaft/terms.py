@@ -3,8 +3,7 @@
 Terms describe sets of finite event traces. An atom consumes one event that
 superset-matches its key/value pattern (binding variables on the way); a
 check consumes nothing and passes when its guard holds under the current
-bindings. Sequence, union and shuffle compose sub-terms; a let wrapper
-declares the variables a term may bind.
+bindings. Sequence, union and shuffle compose sub-terms.
 """
 
 from __future__ import annotations
@@ -346,8 +345,9 @@ def match_event(ann, event, env):
     Progress: every pattern key is present, literals are equal, binds are
     consistent with the environment, and the guard (if any) holds. A false
     guard after a successful pattern is GuardFail; anything else is NoMatch.
-    An unbound guard variable means the atom cannot discriminate yet, which
-    is NoMatch. TypeMismatchError propagates.
+    An unbound guard variable means the atom cannot discriminate yet, and a
+    guard that cannot be evaluated (a type mismatch) cannot hold: both are
+    NoMatch.
     """
     new_env = env
     for key, matcher in ann.pattern:
@@ -366,7 +366,7 @@ def match_event(ann, event, env):
         return MatchResult(_PROGRESS, new_env)
     try:
         ok = eval_guard(ann.guard, new_env)
-    except UnboundVariableError:
+    except (UnboundVariableError, TypeMismatchError):
         return NO_MATCH
     if ok:
         return MatchResult(_PROGRESS, new_env)

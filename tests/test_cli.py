@@ -20,7 +20,7 @@ from conftest import CASES
 
 from rvaft import cli
 from rvaft.cli import main
-from rvaft.casestudy import pruned_tree
+from rvaft.casestudy import OUTCOMES, SCENARIOS, pruned_tree
 from rvaft.engine import Verdict, VerdictEntry
 from rvaft.fileformat import (
     parse_tree,
@@ -797,6 +797,34 @@ def test_every_scenario_decides_for_merged_and_branch(scenario, branch, tree_pat
             code = main(["run", tree_path, "--trace", str(trace),
                          "--property", which, "-o", "/dev/null"])
             assert code == expected, (scenario, outcome, which)
+
+
+@pytest.mark.parametrize("outcome", OUTCOMES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_run_all_writes_what_each_property_writes_alone(scenario, outcome, tmp_path, capsys):
+    """ROADMAP law L8, on the shipped tree: each file of `--property all`
+    equals, byte for byte, the file of a run of that property alone, and so
+    do its verdict line on stderr and the exit code."""
+    tree = str(CASES / "remote_inspection.rvaft.json")
+    trace = tmp_path / "t.trace.jsonl"
+    main(["simulate", scenario, outcome, "--noise", "30",
+          "--seed", str(SCENARIOS.index(scenario)), "-o", str(trace)])
+    (tmp_path / "all").mkdir()
+    capsys.readouterr()
+    code = main(["run", tree, "--trace", str(trace), "--property", "all",
+                 "-o", str(tmp_path / "all" / "v.jsonl")])
+    summary = capsys.readouterr().err.splitlines()[1:]
+    written = {p.name: p.read_bytes() for p in (tmp_path / "all").iterdir()}
+    selectors = ["phi1", "phi2", "phi3", "phi4", "merged"]
+    assert sorted(written) == sorted(f"v.{which}.jsonl" for which in selectors)
+    alone = []
+    for which, line in zip(selectors, summary, strict=True):
+        out = tmp_path / f"{which}.jsonl"
+        alone.append(main(["run", tree, "--trace", str(trace), "--property", which,
+                           "-o", str(out)]))
+        assert out.read_bytes() == written[f"v.{which}.jsonl"], which
+        assert capsys.readouterr().err.splitlines()[1:] == [line]
+    assert code == max(alone) == (2 if outcome == "bad" else 0)
 
 
 def test_run_rejects_non_runtime_ready_tree(full_tree_path, tmp_path, capsys):

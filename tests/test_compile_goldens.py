@@ -1,12 +1,22 @@
 """`rvaft compile`, with and without `--merge`, writes recorded text, byte for
 byte.
 
-The trees are the shipped one and `data/or_below_gates.rvaft.json`, where an
-OR sits below an AND gate and below a VOT gate: each is resolved at its gate,
-so the union sits above the whole gate, and the guard-only leaf after each
-gate stays a check while the one after an atom folds into that atom. The text
-is in `data/<tree>.compile.txt` and `data/<tree>.compile-merge.txt`. To record
-it again from a source tree:
+The trees are the shipped one and two in `data/`:
+
+- `or_below_gates`: an OR sits below an AND gate and below a VOT gate. Each
+  is resolved at its gate, so the union sits above the whole gate, and the
+  guard-only leaf after each gate stays a check while the one after an atom
+  folds into that atom.
+- `guard_only_arms`: guard-only leaves at the edges of OR arms. Two arms that
+  end in differently named leaves with the same guard share that guard as a
+  check after the union; two that start so share it ahead of the union,
+  where it folds into the atom before. A leaf with an explicit
+  `on_guard_fail` folds into the atom before it with that policy, and an OR
+  below two children of the root's SAND_LR is resolved once per branch, so
+  the merged union starts where the two resolutions first differ.
+
+The text is in `data/<tree>.compile.txt` and `data/<tree>.compile-merge.txt`.
+To record it again from a source tree:
 
     PYTHONPATH=src python tests/test_compile_goldens.py
 """
@@ -21,6 +31,7 @@ DATA = Path(__file__).resolve().parent / "data"
 TREES = {
     "remote_inspection": DATA.parent.parent / "cases" / "remote_inspection.rvaft.json",
     "or_below_gates": DATA / "or_below_gates.rvaft.json",
+    "guard_only_arms": DATA / "guard_only_arms.rvaft.json",
 }
 MODES = {"compile": [], "compile-merge": ["--merge"]}
 

@@ -412,7 +412,6 @@ def test_compile_flags(tree):
         {"command", "move_base/result", "radiation_sensor_plugin/sensor_0",
          "move_base/goal"}
     )
-    assert with_merge.verdict_polarity == "satisfaction-is-detection"
 
 
 # ---------------------------------------------------------------------------

@@ -400,9 +400,9 @@ def test_a_self_contained_guard_that_violates_still_eliminates():
 def _spec(*terms):
     """A spec with no topic filter whose branches phi1, phi2, ... are
     ``terms`` and whose merged term is their union."""
-    props = tuple(BranchProperty(f"phi{i}", (), "fault", term, ())
+    props = tuple(BranchProperty(f"phi{i}", (), "fault", term)
                   for i, term in enumerate(terms, 1))
-    return MonitorSpec("random", props, functools.reduce(union, terms), None)
+    return MonitorSpec(props, functools.reduce(union, terms), None)
 
 
 def _replay(spec, which, trace, strict):

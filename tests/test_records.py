@@ -17,7 +17,7 @@ import pytest
 
 from conftest import CASES
 
-from rvaft.compiler import BranchProperty, CheckSeg, MonitorSpec, UnionSeg
+from rvaft.compiler import BranchProperty, MonitorSpec
 from rvaft.engine import Alternative, RunResult, StepDiagnostics, Verdict, VerdictEntry
 from rvaft.fileformat import TraceStats, parse_guard, parse_tree, serialize_tree
 from rvaft.model import GateSpec, RvaftNode, RvaftTree, Violation
@@ -62,7 +62,6 @@ def test_only_term_nodes_and_the_named_exceptions_are_dataclasses():
 
 ANN = EventAnnotation("move", (("topic", "command"), ("waypoint", Bind("W"))))
 GUARD = parse_guard("T2 >= T1 + 10")
-SPINE = (Atom(ANN), CheckSeg(GUARD))
 
 # Class, the fields of one record, the fields of another that differs in one.
 VALUE_RECORDS = [
@@ -73,8 +72,6 @@ VALUE_RECORDS = [
     (NotOp, (Var("ok"),), (Var("ko"),)),
     (Bind, ("W",), ("V",)),
     (MatchResult, (MatchOutcome.PROGRESS, Env()), (MatchOutcome.NO_MATCH, None)),
-    (CheckSeg, (GUARD, "violate"), (GUARD, None)),
-    (UnionSeg, ((SPINE, ()),), ((SPINE,),)),
     (Alternative, (Atom(ANN), Env()), (Atom(ANN), Env((("W", 1.0),)))),
     (GateSpec, ("VOT", ("a", "b"), 1), ("VOT", ("a", "b"), 2)),
     (RvaftNode, ("a", "A", "fault", ANN, None), ("a", "A", "attack", ANN, None)),
@@ -100,8 +97,8 @@ def test_records_compare_by_class_and_fields(cls, fields, other):
 def test_records_of_two_classes_with_equal_fields_are_unequal():
     assert Var("x") != Bind("x")
     assert Const("x") != Var("x")
-    assert CheckSeg(GUARD) != NotOp(GUARD)
-    assert UnionSeg((SPINE,)) != Env((SPINE,))
+    assert Const(GUARD) != NotOp(GUARD)
+    assert MatchResult(Atom(ANN), Env()) != Alternative(Atom(ANN), Env())
 
 
 def test_only_env_guard_nodes_and_bind_hash():
@@ -131,8 +128,8 @@ def test_repr_names_the_class_and_its_fields(cls, fields):
 
 def plain_records():
     return [
-        BranchProperty("phi1", ("a",), "fault", EPSILON, ()),
-        MonitorSpec("t", (), None, frozenset()),
+        BranchProperty("phi1", ("a",), "fault", EPSILON),
+        MonitorSpec((), None, frozenset()),
         StepDiagnostics("neutral"),
         VerdictEntry(0, Verdict.UNKNOWN, "merged"),
         RunResult([], [], None, Verdict.UNKNOWN),
