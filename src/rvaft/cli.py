@@ -140,12 +140,16 @@ REPLAY_BATCH_LINES = 1000
 
 
 class _VerdictWriter:
-    """Writes one runner's verdict lines to ``out`` as soon as each is final,
-    ``batch`` lines per write and flush.
+    """Writes one runner's verdict lines to ``out`` as soon as each is final.
 
-    A ``?`` line is held until the next event arrives or the input ends: at
-    the end ``TraceRunner.finish`` may still close it to ``bottom``. A
-    ``top`` or ``bottom`` line is final at once, since the verdict is sticky.
+    On live input (stdin, ``--listen``) every line is final once its event is
+    stepped, and is written and flushed on its own: the end of a live input
+    only means that the feed stopped, so it closes nothing. A replay
+    (``--trace``) writes ``REPLAY_BATCH_LINES`` lines per write and flush, and
+    holds a ``?`` line until the next event or the end of the input, since
+    at its end ``TraceRunner.finish`` may still close that line to
+    ``bottom``. A ``top`` or ``bottom`` line is final at once, since the
+    verdict is sticky.
 
     The body of the last line written (everything after ``event_index``) is
     kept with the state it was built from, and reused while the next
@@ -154,9 +158,10 @@ class _VerdictWriter:
     state rather than once per event.
     """
 
-    def __init__(self, out, batch):
+    def __init__(self, out, replay):
         self.out = out
-        self.batch = batch
+        self.replay = replay
+        self.batch = REPLAY_BATCH_LINES if replay else 1
         self.held = None
         self.pending = []
         # The state body was built from: verdict, property, live_branches,
@@ -169,7 +174,7 @@ class _VerdictWriter:
         if self.held is not None:
             self._emit(self.held)
             self.held = None
-        if record.verdict is _UNKNOWN:
+        if record.verdict is _UNKNOWN and self.replay:
             self.held = record
         else:
             self._emit(record)
@@ -211,8 +216,10 @@ def _property_path(path, which):
 
 def cmd_run(args):
     """One pass over the input: each event goes to every selected runner,
-    and each verdict line is written as soon as it is final. Live input
-    (stdin, ``--listen``) is written and flushed line by line."""
+    and each verdict line is written as soon as it is final. A replay
+    (``--trace``) ends with the mission, so its end closes an undecided
+    monitor to violated; live input (stdin, ``--listen``) is written and
+    flushed line by line, and its end closes nothing."""
     tree = _load_tree(args.tree)
     spec = compile_tree(tree, do_merge=True)
     if args.property == "all":
@@ -225,8 +232,9 @@ def cmd_run(args):
     runners = [TraceRunner(spec, which, strict=args.strict) for which in selectors]
 
     stats = TraceStats()
+    replay = bool(args.trace)
     with contextlib.ExitStack() as stack:
-        if args.trace:
+        if replay:
             events = read_trace(stack.enter_context(open(args.trace, "rb")), stats,
                                 spec.fields)
         elif args.listen is not None:
@@ -237,7 +245,6 @@ def cmd_run(args):
             # errors replaced; a text stream with no buffer is read as is.
             stdin = getattr(sys.stdin, "buffer", sys.stdin)
             events = read_trace(stdin, stats, spec.fields)
-        batch = REPLAY_BATCH_LINES if args.trace else 1
         writers = []
         for which in selectors:
             path = args.output
@@ -247,7 +254,7 @@ def cmd_run(args):
                 out = sys.stdout
             else:
                 out = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
-            writers.append(_VerdictWriter(out, batch))
+            writers.append(_VerdictWriter(out, replay))
         steps = [(runner.feed, writer.push) for runner, writer in zip(runners, writers)]
         gc.freeze()
         try:
@@ -255,12 +262,13 @@ def cmd_run(args):
                 for feed, push in steps:
                     push(feed(event))
         except KeyboardInterrupt:
-            # Every line of an event read so far goes out; a held ``?`` line
-            # stays ``?``, since the input did not end.
+            # Every line of an event read so far goes out; a replay's held
+            # ``?`` line stays ``?``, since the input did not end.
             for writer in writers:
                 writer.close()
             raise
-        finals = [runner.finish() for runner in runners]
+        finals = [runner.finish() if replay else runner.monitor.verdict
+                   for runner in runners]
         for writer in writers:
             writer.close()
 

@@ -595,9 +595,30 @@ def _atom_args(ann):
     return args
 
 
-def _atom_head(ann):
+def _atom_head(ann, name=None):
+    """``name(args)``, the atom's own name unless ``name`` is given."""
     args = _atom_args(ann)
-    return f"{ann.name}({', '.join(args)})" if args else ann.name
+    name = name or ann.name
+    return f"{name}({', '.join(args)})" if args else name
+
+
+def _declared_heads(atoms):
+    """``(atom, head)`` for each atom, in order. An atom whose head an
+    earlier atom already has (same name and arguments, another pattern or
+    guard) is declared as ``<name>_<n>``, with the smallest ``n`` from 2
+    that gives a head no other atom has."""
+    taken = {_atom_head(ann) for ann in atoms}
+    seen, heads = set(), []
+    for ann in atoms:
+        head = _atom_head(ann)
+        if head in seen:
+            n = 2
+            while (head := _atom_head(ann, f"{ann.name}_{n}")) in taken:
+                n += 1
+            taken.add(head)
+        seen.add(head)
+        heads.append((ann, head))
+    return heads
 
 
 def _pattern_text(ann):
@@ -612,25 +633,27 @@ def _pattern_text(ann):
     return "{ " + ", ".join(parts) + " }"
 
 
-def _declaration(ann):
-    line = f"{_atom_head(ann)} matches {_pattern_text(ann)}"
+def _declaration(ann, head):
+    line = f"{head} matches {_pattern_text(ann)}"
     if ann.guard is not None:
         line += f" with {print_guard(ann.guard)}"
     return line + ";"
 
 
-def _term_text(term, parenthesize=False):
+def _term_text(term, heads, parenthesize=False):
     if isinstance(term, Atom):
-        return _atom_head(term.ann)
+        return next(head for ann, head in heads if ann == term.ann)
     if isinstance(term, Check):
         return f"({print_guard(term.guard)})"
     if isinstance(term, Seq):
-        text = f"{_term_text(term.left, True)} {_term_text(term.right)}"
+        text = f"{_term_text(term.left, heads, True)} {_term_text(term.right, heads)}"
         return f"({text})" if parenthesize else text
     if isinstance(term, Union):
-        return f"({_term_text(term.left, True)} \\/ {_term_text(term.right, True)})"
+        return (f"({_term_text(term.left, heads, True)} \\/ "
+                f"{_term_text(term.right, heads, True)})")
     if isinstance(term, Shuffle):
-        return f"({_term_text(term.left, True)} | {_term_text(term.right, True)})"
+        return (f"({_term_text(term.left, heads, True)} | "
+                f"{_term_text(term.right, heads, True)})")
     if isinstance(term, Epsilon):
         return "empty"
     if isinstance(term, Empty):
@@ -638,21 +661,22 @@ def _term_text(term, parenthesize=False):
     raise TypeError(f"not a term: {term!r}")
 
 
-def _main_line(label, term):
-    """The term's line; a ``let`` list declares the variables its atoms bind,
-    in first-occurrence order."""
+def _main_line(label, term, heads):
+    """The term's line, each atom named by its head in ``heads``; a ``let``
+    list declares the variables its atoms bind, in first-occurrence order."""
     bound = term_bind_vars(term)
     if bound:
-        return f"{label} = {{ let {', '.join(bound)}; {_term_text(term)} }}"
-    return f"{label} = {{ {_term_text(term)} }}"
+        return f"{label} = {{ let {', '.join(bound)}; {_term_text(term, heads)} }}"
+    return f"{label} = {{ {_term_text(term, heads)} }}"
 
 
 def emit_spec(spec):
     """Human-readable monitor specification text; byte-stable across runs.
 
     One declaration line per distinct atom (sorted by atom name, stable in
-    first-occurrence order), then one Main line for the merged term or one
-    Main_<id> line per branch property.
+    first-occurrence order), each under its own head (``_declared_heads``),
+    then one Main line for the merged term or one Main_<id> line per branch
+    property.
     """
     terms = [spec.merged] if spec.merged is not None else [p.term for p in spec.properties]
     atoms = []
@@ -660,10 +684,11 @@ def emit_spec(spec):
         for ann in iter_atoms(term):
             if ann not in atoms:
                 atoms.append(ann)
-    lines = [_declaration(ann) for ann in sorted(atoms, key=lambda a: a.name)]
+    heads = _declared_heads(sorted(atoms, key=lambda a: a.name))
+    lines = [_declaration(ann, head) for ann, head in heads]
     if spec.merged is not None:
-        lines.append(_main_line("Main", spec.merged))
+        lines.append(_main_line("Main", spec.merged, heads))
     else:
         for prop in spec.properties:
-            lines.append(_main_line(f"Main_{prop.id}", prop.term))
+            lines.append(_main_line(f"Main_{prop.id}", prop.term, heads))
     return "\n".join(lines) + "\n"

@@ -470,6 +470,43 @@ def test_sigint_while_listening_exits_130_without_a_traceback():
     assert (before + err).decode() == "interrupted\n"
 
 
+def _next_line(fd, buffer, seconds=30.0):
+    """The next line the child writes to ``fd`` after ``buffer``, and what
+    follows it; fails if no whole line comes within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while b"\n" not in buffer:
+        left = deadline - time.monotonic()
+        ready = select.select([fd], [], [], max(left, 0))[0]
+        chunk = os.read(fd, 4096) if ready else b""
+        if not chunk:
+            raise AssertionError(f"no whole line within {seconds} s: {buffer!r}")
+        buffer += chunk
+    line, _, rest = buffer.partition(b"\n")
+    return line, rest
+
+
+def test_listen_writes_each_line_before_the_next_event_and_leaves_the_end_open(tmp_path):
+    """Each event's verdict line comes out while the sender waits for it.
+    Closing the connection on an undecided trace closes nothing: the last
+    line stays `?`, and so does the verdict on stderr."""
+    trace = tmp_path / "good.trace.jsonl"
+    main(["simulate", "fault-moving", "good", "--noise", "3", "-o", str(trace)])
+    events = trace.read_bytes().splitlines(keepends=True)
+    lines, rest = [], b""
+    with _listening_child() as (proc, port, _):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            for event in events:
+                conn.sendall(event)
+                line, rest = _next_line(proc.stdout.fileno(), rest)
+                lines.append(json.loads(line))
+        out, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, err
+    assert rest + out == b""
+    assert [record["event_index"] for record in lines] == list(range(len(events)))
+    assert lines[-1]["verdict"] == "?" and lines[-1]["live_branches"]
+    assert err.decode().endswith("\nmerged: verdict=?\n")
+
+
 @pytest.mark.parametrize("read", [0, 1, 7, 20])
 def test_an_interrupt_writes_the_line_of_every_event_read(tree_path, tmp_path, monkeypatch,
                                                           capsys, read):
@@ -602,12 +639,14 @@ def _writer_records(seed, n=600):
     return records
 
 
-@pytest.mark.parametrize("batch", [1, 1000])
-def test_writer_output_equals_a_line_built_afresh_per_record(batch, monkeypatch):
+@pytest.mark.parametrize("replay", [False, True], ids=["live", "replay"])
+def test_writer_output_equals_a_line_built_afresh_per_record(replay, monkeypatch):
     """The writer writes the bytes that building every line afresh gives,
     and builds a line's body again only for a record whose state is not the
     previous record's objects: also for equal bindings in fresh objects, and
-    for a held `?` line that the end of the input closes to `bottom`."""
+    for a replay's held `?` line that the end of the input closes to
+    `bottom`. A live writer holds nothing: when a push returns, that
+    record's line is out, and the last `?` line stays as written."""
     built = []
 
     def counted_body(record):
@@ -618,21 +657,31 @@ def test_writer_output_equals_a_line_built_afresh_per_record(batch, monkeypatch)
     for seed in range(20):
         records = _writer_records(seed)
         out = io.StringIO()
-        writer = cli._VerdictWriter(out, batch)
+        writer = cli._VerdictWriter(out, replay)
         built.clear()
+        written = 0
         for record in records:
             writer.push(record)
-        records[-1].verdict = Verdict.VIOLATED  # what TraceRunner.finish does
+            if not replay:
+                line = verdict_record_line(record) + "\n"
+                assert out.getvalue()[written:] == line
+                written += len(line)
+        if replay:
+            records[-1].verdict = Verdict.VIOLATED  # what TraceRunner.finish does
         writer.close()
         assert out.getvalue() == "".join(verdict_record_line(r) + "\n" for r in records)
         members = ("verdict", "property", "live_branches", "skipped", "bindings")
         changes = sum(any(getattr(a, m) is not getattr(b, m) for m in members)
                       for a, b in zip(records, records[1:]))
         assert len(built) == 1 + changes
-        assert built[-1] == records[-1].event_index
+        # the last record has the state of the one before, unless closed
+        assert (built[-1] == records[-1].event_index) == replay
 
 
-def test_stdin_writes_and_flushes_each_line_as_it_is_final(tree_path, monkeypatch):
+def test_stdin_writes_and_flushes_each_line_as_it_is_final(tree_path, monkeypatch, capsys):
+    """A patrol that never decides: each `?` line is final once its event is
+    stepped, so it is written and flushed before the next input line is
+    read, and the end of the input closes nothing."""
     events = 300
     out = _CountingStdout()
     written_before = []  # verdict lines written before each input line is read
@@ -646,8 +695,8 @@ def test_stdin_writes_and_flushes_each_line_as_it_is_final(tree_path, monkeypatc
     monkeypatch.setattr("sys.stdout", out)
     assert main(["run", tree_path]) == 0
     assert (out.writes, out.flushes, out.lines) == (events, events, events)
-    # every line is `?`, held only until the next event is read
-    assert written_before == [max(0, i - 1) for i in range(events)]
+    assert written_before == list(range(events))
+    assert capsys.readouterr().err.endswith("\nmerged: verdict=?\n")
 
 
 def test_cli_import_leaves_out_what_a_run_does_not_use():
@@ -708,6 +757,21 @@ def test_run_all_detects_a_vote_over_interleaved_sequences(tmp_path, capsys):
         assert [json.loads(line)["verdict"] for line in lines] == ["?", "?", "?", "top"]
 
 
+def _closed_last_line(live, replay):
+    """Checks that a live run wrote a replay's lines, but for a last `?` line
+    that the replay closed to `bottom` and the live run left `?` with its
+    live branches and bindings; returns whether the replay closed it."""
+    live_lines, replay_lines = live.splitlines(), replay.splitlines()
+    assert len(live_lines) == len(replay_lines)
+    assert live_lines[:-1] == replay_lines[:-1]
+    if live_lines[-1:] == replay_lines[-1:]:
+        return False
+    left_open, closed = json.loads(live_lines[-1]), json.loads(replay_lines[-1])
+    assert left_open["verdict"] == "?" and left_open["live_branches"]
+    assert closed == dict(left_open, verdict="bottom", live_branches=[])
+    return True
+
+
 def test_stdin_bytes_that_are_not_utf8_are_replaced_as_in_a_trace_file(tmp_path):
     """An interpreter whose stdin decodes with strict errors still reads a
     line with a byte that is not UTF-8, as --trace does."""
@@ -725,7 +789,12 @@ def test_stdin_bytes_that_are_not_utf8_are_replaced_as_in_a_trace_file(tmp_path)
     assert len(stdin.stdout.splitlines()) == 2
     from_file = subprocess.run(cmd + ["--trace", str(trace)], capture_output=True, env=env,
                                timeout=60)
-    assert (stdin.stdout, stdin.stderr) == (from_file.stdout, from_file.stderr)
+    assert from_file.returncode == 0, from_file.stderr
+    # the move leaves the run undecided: the replay closes its line, stdin does not
+    assert _closed_last_line(stdin.stdout, from_file.stdout)
+    assert stdin.stderr.decode().splitlines()[1:] == ["merged: verdict=?"]
+    assert from_file.stderr.decode().splitlines() == ["trace: lines=2 events=2 malformed=0",
+                                                      "merged: verdict=⊥"]
 
 
 def test_stdin_stream_matches_file_stream_byte_for_byte(tree_path, tmp_path, monkeypatch):
@@ -739,31 +808,39 @@ def test_stdin_stream_matches_file_stream_byte_for_byte(tree_path, tmp_path, mon
     assert stdin_out.read_bytes() == file_out.read_bytes()
 
 
-def test_stdin_run_closes_the_held_last_line_at_the_end_of_the_input(tree_path, tmp_path,
+def test_stdin_run_leaves_the_last_line_open_at_the_end_of_the_input(tree_path, tmp_path,
                                                                      monkeypatch, capsys):
-    """The merged monitor is still `?` after the last event of a good trace;
-    the end of the input closes it, and the last line says so."""
+    """The merged monitor is still `?` after the last event of a good trace.
+    The end of stdin only means that the feed stopped: the last line stays
+    `?`, and so does the verdict on stderr. A replay of the same trace ends
+    with the mission, so its end closes the verdict to `⊥`."""
     trace = tmp_path / "good.trace.jsonl"
-    main(["simulate", "fault-moving", "good", "-o", str(trace)])
+    main(["simulate", "fault-at-waypoint", "good", "-o", str(trace)])
     monkeypatch.setattr("sys.stdin", io.StringIO(trace.read_text()))
     assert main(["run", tree_path]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert [json.loads(line)["verdict"] for line in out] == ["?", "?", "?", "bottom"]
+    live = capsys.readouterr()
+    assert [json.loads(line)["verdict"] for line in live.out.splitlines()] == ["?"] * 4
+    assert live.err.endswith("\nmerged: verdict=?\n")
+    assert main(["run", tree_path, "--trace", str(trace)]) == 0
+    replay = capsys.readouterr()
+    assert _closed_last_line(live.out, replay.out)
+    assert replay.err.endswith("\nmerged: verdict=⊥\n")
 
 
 @pytest.mark.parametrize("which", ["merged", "phi2"])
 def test_a_closing_line_lists_no_live_branches(which, tree_path, tmp_path, monkeypatch,
                                                capsys):
     """Both monitors are still `?` after the last event of a good fault-moving
-    trace. The closing `bottom` line lists no live branch, from a file and
-    from stdin; the merged one keeps the bindings held when the input ended."""
+    trace. A replay's closing `bottom` line lists no live branch; the merged
+    one keeps the bindings held when the input ended. From stdin the same
+    line stays `?` and lists the branches still live."""
     trace = tmp_path / "good.trace.jsonl"
     main(["simulate", "fault-moving", "good", "-o", str(trace)])
     assert main(["run", tree_path, "--property", which, "--trace", str(trace)]) == 0
     from_file = capsys.readouterr().out
     monkeypatch.setattr("sys.stdin", io.StringIO(trace.read_text()))
     assert main(["run", tree_path, "--property", which]) == 0
-    assert capsys.readouterr().out == from_file
+    assert _closed_last_line(capsys.readouterr().out, from_file)
     *_, held, closing = map(json.loads, from_file.splitlines())
     assert held["verdict"] == "?" and held["live_branches"]
     assert closing["verdict"] == "bottom" and closing["live_branches"] == []
@@ -771,6 +848,9 @@ def test_a_closing_line_lists_no_live_branches(which, tree_path, tmp_path, monke
 
 
 def test_run_all_from_stdin_matches_all_from_a_file(tree_path, tmp_path, monkeypatch):
+    """Each property's stdin file holds its replay's lines. phi1 is decided
+    `bottom` and phi3 and merged `top`; phi2 and phi4 are still `?` at the
+    end, which only the replay closes."""
     trace = tmp_path / "t.trace.jsonl"
     main(["simulate", "attack-moving", "bad", "--noise", "20", "-o", str(trace)])
     (tmp_path / "file").mkdir()
@@ -782,7 +862,10 @@ def test_run_all_from_stdin_matches_all_from_a_file(tree_path, tmp_path, monkeyp
                  "-o", str(tmp_path / "stdin" / "v.jsonl")]) == 2
     produced = {p.name: p.read_bytes() for p in (tmp_path / "file").iterdir()}
     assert len(produced) == 5
-    assert {p.name: p.read_bytes() for p in (tmp_path / "stdin").iterdir()} == produced
+    live = {p.name: p.read_bytes() for p in (tmp_path / "stdin").iterdir()}
+    assert live.keys() == produced.keys()
+    closed = {name for name in live if _closed_last_line(live[name], produced[name])}
+    assert closed == {"v.phi2.jsonl", "v.phi4.jsonl"}
 
 
 @pytest.mark.parametrize("scenario,branch", [

@@ -21,6 +21,7 @@ To record it again from a source tree:
     PYTHONPATH=src python tests/test_compile_goldens.py
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,30 @@ def compile_text(name, mode, out):
 def test_compile_writes_the_recorded_text(name, mode, tmp_path):
     golden = DATA / f"{name}.{mode}.txt"
     assert compile_text(name, mode, tmp_path / "spec.txt") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", TREES)
+def test_every_declaration_has_its_own_head(name, mode, tmp_path):
+    """Two atoms that differ only in their pattern or guard get two heads,
+    so a Main line names exactly one declaration per atom."""
+    lines = compile_text(name, mode, tmp_path / "spec.txt").decode().splitlines()
+    heads = [line.split(" matches ")[0] for line in lines if " matches " in line]
+    assert len(set(heads)) == len(heads), heads
+
+
+def test_main_names_the_move_that_carries_the_time_guard(tmp_path):
+    """In the shipped tree only phi1 and phi2 end in a move checked against
+    the radiation time; phi3 and phi4 end in a move without that check."""
+    lines = compile_text("remote_inspection", "compile", tmp_path / "spec.txt").decode()
+    declared = dict(line.split(" matches ") for line in lines.splitlines()
+                    if " matches " in line)
+    mains = dict(re.fullmatch(r"(Main_\w+) = \{ let [^;]*; (.*) \}", line).groups()
+                 for line in lines.splitlines() if line.startswith("Main_"))
+    for which, timed in (("phi1", True), ("phi2", True), ("phi3", False), ("phi4", False)):
+        move = next(head for head in re.findall(r"\w+\([^)]*\)", mains[f"Main_{which}"])
+                    if head.startswith("move") and "NewWp" in head)
+        assert ("T2 >= T1 + 10" in declared[move]) == timed, (which, move)
 
 
 if __name__ == "__main__":
