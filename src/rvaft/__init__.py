@@ -26,7 +26,6 @@ from .terms import (
     Atom,
     Bind,
     Check,
-    Empty,
     Env,
     Epsilon,
     EventAnnotation,
@@ -42,7 +41,7 @@ from .terms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "Bind", "BranchProperty", "Check", "Empty", "Env", "Epsilon",
+    "Atom", "Bind", "BranchProperty", "Check", "Env", "Epsilon",
     "EventAnnotation", "GateSpec", "Monitor", "MonitorSpec", "RunResult",
     "RvaftError", "RvaftNode", "RvaftTree", "Seq", "Shuffle", "Term",
     "TraceRunner", "Union", "Verdict", "Violation", "annotate", "compile_tree",

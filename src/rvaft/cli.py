@@ -232,7 +232,7 @@ def cmd_run(args):
     runners = [TraceRunner(spec, which, strict=args.strict) for which in selectors]
 
     stats = TraceStats()
-    replay = bool(args.trace)
+    replay = args.trace is not None
     with contextlib.ExitStack() as stack:
         if replay:
             events = read_trace(stack.enter_context(open(args.trace, "rb")), stats,

@@ -209,10 +209,11 @@ def _factor(arms):
     return arms[0][:p] + (middle,) + arms[0][len(arms[0]) - s :]
 
 
-def _build_spine(tree, nid, choices, visited, notes):
+def _build_spine(tree, nid, choices, visited):
     """Spine of the subtree at ``nid``; a disjunction in ``choices`` follows
     its chosen child, any other follows all of them, as a union in place on a
-    sequence and as one union of whole gates below a shuffle or a vote."""
+    sequence and as one union of whole gates below a shuffle or a vote. Every
+    node walked is appended to ``visited``."""
     node = tree.nodes[nid]
     visited.append(nid)
     ann = node.annotation
@@ -222,18 +223,16 @@ def _build_spine(tree, nid, choices, visited, notes):
     gate = node.gate
     if gate is None:
         return tuple(prefix)
-    if ann is None and nid != tree.root:
-        notes.append(f"intermediate node {nid} has no annotation and adds no atom")
     if gate.kind == "OR":
         arms = [choices[nid]] if nid in choices else gate.children
         return tuple(prefix) + _factor(
-            [_build_spine(tree, child, choices, visited, notes) for child in arms]
+            [_build_spine(tree, child, choices, visited) for child in arms]
         )
     if gate.kind in ("SAND_LR", "SAND_RL"):
         kids = gate.children if gate.kind == "SAND_LR" else gate.children[::-1]
         spine = []
         for child in kids:
-            spine.extend(_build_spine(tree, child, choices, visited, notes))
+            spine.extend(_build_spine(tree, child, choices, visited))
         return tuple(prefix) + tuple(spine)
     if gate.kind not in ("AND", "VOT"):
         raise ValueError(f"unknown gate kind: {gate.kind!r}")
@@ -243,7 +242,7 @@ def _build_spine(tree, nid, choices, visited, notes):
     arms = []
     for pick in _resolutions(tree, gate.children, choices):
         child_terms = [
-            fold_spine(_build_spine(tree, child, pick, visited, notes))
+            fold_spine(_build_spine(tree, child, pick, visited))
             for child in gate.children
         ]
         k = len(child_terms) if gate.kind == "AND" else gate.k
@@ -262,17 +261,18 @@ def decompose(tree):
     props = []
     for i, choices in enumerate(choice_maps, start=1):
         visited = []
-        notes = []
-        term = fold_spine(_build_spine(tree, tree.root, choices, visited, notes))
+        term = fold_spine(_build_spine(tree, tree.root, choices, visited))
         classes = {tree.nodes[n].node_class for n in visited} - {NEUTRAL}
         path = tuple(choices[nid] for nid in or_nodes if nid in choices)
         if not classes:
             raise UnclassifiedBranchError(path)
         node_class = ATTACK if ATTACK in classes else FAULT
+        for n in visited:
+            node = tree.nodes[n]
+            if node.annotation is None and node.gate is not None and n != tree.root:
+                log.info("phi%d: intermediate node %s has no annotation and adds no atom", i, n)
         if classes == {ATTACK, FAULT}:
-            notes.append("branch mixes fault and attack leaves; classed as attack")
-        for n in notes:
-            log.info("phi%d: %s", i, n)
+            log.info("phi%d: branch mixes fault and attack leaves; classed as attack", i)
         props.append(BranchProperty(f"phi{i}", path, node_class, term))
     return props
 
@@ -317,7 +317,7 @@ def merge(tree):
     shared = _shared_disjunctions(tree)
     picks = itertools.product(*(tree.nodes[nid].gate.children for nid in shared))
     return fold_spine(_factor(
-        [_build_spine(tree, tree.root, dict(zip(shared, pick)), [], []) for pick in picks]
+        [_build_spine(tree, tree.root, dict(zip(shared, pick)), []) for pick in picks]
     ))
 
 

@@ -18,7 +18,6 @@ from .record import Record
 from .terms import (
     Atom,
     Check,
-    Empty,
     Env,
     Epsilon,
     MatchOutcome,
@@ -81,12 +80,10 @@ _ELIMINATED = StepDiagnostics("eliminated")
 
 def _derive(term, env, ev):
     """Successor (term, env) pairs, and whether a guard whose policy is
-    ``violate`` failed.
-
-    Successors already apply the unit/absorption simplifications, so a dead
-    continuation (e.g. a sequence into Empty) yields no successor at all.
+    ``violate`` failed. Successors already apply the unit simplifications;
+    no successor at all means the event matches nothing here.
     """
-    if isinstance(term, (Empty, Epsilon, Check)):
+    if isinstance(term, (Epsilon, Check)):
         return [], False
     if isinstance(term, Atom):
         res = match_event(term.ann, ev, env)
@@ -95,11 +92,7 @@ def _derive(term, env, ev):
         return [], res.outcome is _GUARD_FAIL and term.ann.effective_policy() == "violate"
     if isinstance(term, Seq):
         succ, violated = _derive(term.left, env, ev)
-        out = []
-        for t, e in succ:
-            nxt = seq(t, term.right)
-            if not isinstance(nxt, Empty):
-                out.append((nxt, e))
+        out = [(seq(t, term.right), e) for t, e in succ]
         if nullable(term.left, env):
             s2, v2 = _derive(term.right, env, ev)
             out.extend(s2)
@@ -112,15 +105,8 @@ def _derive(term, env, ev):
     if isinstance(term, Shuffle):
         s1, v1 = _derive(term.left, env, ev)
         s2, v2 = _derive(term.right, env, ev)
-        out = []
-        for t, e in s1:
-            nxt = shuffle(t, term.right)
-            if not isinstance(nxt, Empty):
-                out.append((nxt, e))
-        for t, e in s2:
-            nxt = shuffle(term.left, t)
-            if not isinstance(nxt, Empty):
-                out.append((nxt, e))
+        out = [(shuffle(t, term.right), e) for t, e in s1]
+        out.extend((shuffle(term.left, t), e) for t, e in s2)
         return out, v1 or v2
     raise TypeError(f"not a term: {term!r}")
 
@@ -158,7 +144,7 @@ def _frontier(term, out):
         return not _may_be_empty(term.left) or _frontier(term.right, out)
     if isinstance(term, (Union, Shuffle)):
         return _frontier(term.left, out) and _frontier(term.right, out)
-    return True  # Empty, Epsilon and Check consume nothing
+    return True  # Epsilon and Check consume nothing
 
 
 def _decides_alone(ann):
@@ -188,18 +174,18 @@ class Monitor:
     ``_derive`` would reach, so it can neither progress an alternative nor
     fail a guard: it is neutral, and ``step`` returns without deriving.
 
-    Both checks are one lookup of the event's topic in ``_route``, built with
-    the frontier: it maps every spelling of a subscribed topic (``t`` and
-    ``/t``, which ``canonical_topic`` maps to ``t``) to the neutral outcome
-    or, on the frontier, to None (derive). Any other topic gets
-    ``_unrouted``: dropped under a topic filter, else neutral while there is
-    a frontier, else None.
+    An event on the frontier whose next atoms all decide alone (see
+    ``_decides_alone``) is tried against those atoms' annotations first. If
+    none of them matches it under no bindings, no alternative can progress
+    or be eliminated, so the event is neutral without deriving. A topic with
+    any other next atom derives.
 
-    An event on the frontier is first tried against ``_tests``: for a topic
-    whose next atoms all decide alone (see ``_decides_alone``), it holds
-    those atoms' annotations. If none of them matches the event under no
-    bindings, no alternative can progress or be eliminated, so the event is
-    neutral without deriving. A topic with any other next atom derives.
+    All of this is one lookup of the event's topic in ``_route``, built with
+    the frontier. It maps every spelling of a subscribed topic (``t`` and
+    ``/t``, which ``canonical_topic`` maps to ``t``) to the tuple of atom
+    tests that decide the event alone (``()`` off the frontier), or to None:
+    derive. Any other topic gets ``_unrouted``: dropped under a topic filter,
+    else ``()`` while there is a frontier, else None.
     """
 
     def __init__(self, term, topics=None, strict=False):
@@ -213,13 +199,8 @@ class Monitor:
                 if canonical_topic(s) in self.topics
             )
         self.strict = strict
-        self.events_seen = 0
-        self.skipped = 0
         self.peak_alternatives = 0
-        if isinstance(term, Empty):
-            self._replace_alternatives([])
-        else:
-            self._replace_alternatives([Alternative(term, Env.empty())])
+        self._replace_alternatives([Alternative(term, Env.empty())])
 
     def _replace_alternatives(self, alternatives):
         self.alternatives = alternatives
@@ -231,23 +212,21 @@ class Monitor:
             bindings.update(alt.env.items)
         self._bindings = MappingProxyType(bindings)
         self.frontier = None
-        self._tests = {}
+        # A frontier topic's atom tests, or None where some next atom needs
+        # the alternatives' bindings.
+        tests = {}
         if not self.strict:
             atoms = {}
             if all(_frontier(a.term, atoms) for a in alternatives):
                 self.frontier = frozenset(atoms)
-                self._tests = {topic: tuple(anns) for topic, anns in atoms.items()
-                               if all(map(_decides_alone, anns))}
-        frontier = self.frontier
+                tests = {topic: tuple(anns) if all(map(_decides_alone, anns)) else None
+                         for topic, anns in atoms.items()}
+        off_frontier = None if self.frontier is None else ()
         if self._spellings is None:
-            self._route = dict.fromkeys(frontier or (), None)
-            self._unrouted = None if frontier is None else _NEUTRAL
+            self._route = tests
+            self._unrouted = off_frontier
         else:
-            self._route = {
-                s: None if frontier is None or (isinstance(s, str) and s in frontier)
-                else _NEUTRAL
-                for s in self._spellings
-            }
+            self._route = {s: tests.get(s, off_frontier) for s in self._spellings}
             self._unrouted = _DROPPED
 
     def _assess(self):
@@ -259,27 +238,21 @@ class Monitor:
 
     def step(self, event):
         """Consume one event; returns its outcome. No-op once decided."""
-        self.events_seen += 1
         if self.verdict is not _UNKNOWN:
             return _DECIDED
-        topic = event.get("topic")
         try:
-            skip = self._route.get(topic, self._unrouted)
+            tests = self._route.get(event.get("topic"), self._unrouted)
         except TypeError:  # an unhashable topic, on no subscribed topic
             if self._spellings is not None:
                 raise
-            skip = self._unrouted
-        if skip is not None:
-            self.skipped += 1
-            return skip
-        # Without a frontier _tests is empty, and the topic may not hash.
-        tests = self._tests.get(topic) if self._tests else None
+            tests = self._unrouted
+        if tests is _DROPPED:
+            return _DROPPED
         if tests is not None:
             for ann in tests:
                 if match_event(ann, event, _NO_BINDINGS).outcome is _PROGRESS:
                     break
             else:
-                self.skipped += 1
                 return _NEUTRAL
 
         candidates = []  # what replaces the alternatives, in their order
@@ -297,7 +270,6 @@ class Monitor:
         if neutral:
             # Nothing changed: the alternatives are already distinct and the
             # verdict still holds.
-            self.skipped += 1
             return _NEUTRAL
 
         # Not a set: a binding may hold a dict, which does not hash.
@@ -368,6 +340,7 @@ class TraceRunner:
             for pid, t in shadow_terms.items()
         }
         self._shadows = tuple(self.shadows.values())  # what feed steps, built once
+        self.events = 0  # fed so far: the next record's event_index
         self.last = None  # the latest record, which finish() may still close
 
     def attribution(self):
@@ -396,9 +369,10 @@ class TraceRunner:
             bindings = last.bindings
         # VerdictEntry(event_index, verdict, property, live_branches, bindings, skipped)
         self.last = record = VerdictEntry(
-            monitor.events_seen - 1, monitor.verdict, self.which, live_branches, bindings,
+            self.events, monitor.verdict, self.which, live_branches, bindings,
             diag.outcome in _SKIPPED,
         )
+        self.events += 1
         return record
 
     def finish(self):

@@ -24,7 +24,6 @@ from .terms import (
     BinOp,
     Check,
     Const,
-    Empty,
     Epsilon,
     EventAnnotation,
     NotOp,
@@ -656,8 +655,6 @@ def _term_text(term, heads, parenthesize=False):
                 f"{_term_text(term.right, heads, True)})")
     if isinstance(term, Epsilon):
         return "empty"
-    if isinstance(term, Empty):
-        return "none"
     raise TypeError(f"not a term: {term!r}")
 
 

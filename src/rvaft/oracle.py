@@ -19,7 +19,6 @@ from .errors import TypeMismatchError, UnboundVariableError
 from .terms import (
     Atom,
     Check,
-    Empty,
     Env,
     Epsilon,
     MatchOutcome,
@@ -56,8 +55,6 @@ def _colorings(events):
 def matches(term, env, events):
     """Environments under which the term matches exactly this event list."""
     out = []
-    if isinstance(term, Empty):
-        return out
     if isinstance(term, Epsilon):
         if not events:
             out.append(env)
@@ -93,20 +90,6 @@ def matches(term, env, events):
     raise TypeError(f"not a term: {term!r}")
 
 
-def inhabited(term):
-    """Could the term still match anything at all? Optimistic about guards,
-    mirroring the engine, which never prunes on unsatisfiable checks."""
-    if isinstance(term, Empty):
-        return False
-    if isinstance(term, (Epsilon, Atom, Check)):
-        return True
-    if isinstance(term, (Seq, Shuffle)):
-        return inhabited(term.left) and inhabited(term.right)
-    if isinstance(term, Union):
-        return inhabited(term.left) or inhabited(term.right)
-    raise TypeError(f"not a term: {term!r}")
-
-
 def prefix_envs(term, env, events):
     """Environments under which the event list is a viable prefix of a match.
 
@@ -115,8 +98,6 @@ def prefix_envs(term, env, events):
     event can exist.
     """
     out = []
-    if isinstance(term, Empty):
-        return out
     if isinstance(term, (Epsilon, Check)):
         if not events:
             out.append(env)
@@ -130,9 +111,8 @@ def prefix_envs(term, env, events):
                 out.append(res.env)
         return out
     if isinstance(term, Seq):
-        if inhabited(term.right):
-            for e in prefix_envs(term.left, env, events):
-                _add_env(out, e)
+        for e in prefix_envs(term.left, env, events):
+            _add_env(out, e)
         for i in range(len(events) + 1):
             for e1 in matches(term.left, env, events[:i]):
                 for e2 in prefix_envs(term.right, e1, events[i:]):
@@ -172,19 +152,14 @@ def language(term, env, events, max_len):
 # ---------------------------------------------------------------------------
 
 class _View:
-    """Residual view of one parse state: the exposed atom occurrences, whether
-    the remainder accepts the empty continuation, and whether the state can
-    still match anything at all."""
+    """Residual view of one parse state: the exposed atom occurrences and
+    whether the remainder accepts the empty continuation."""
 
-    __slots__ = ("frontier", "nullable", "alive")
+    __slots__ = ("frontier", "nullable")
 
-    def __init__(self, frontier, nullable, alive):
+    def __init__(self, frontier, nullable):
         self.frontier = frontier  # list of (path, annotation)
         self.nullable = nullable
-        self.alive = alive
-
-
-_DEAD = _View([], False, False)
 
 
 def _assigned_under(assignment, path):
@@ -199,27 +174,23 @@ def _view(term, assignment, env, path=()):
     part is spent. A union commits to the arm that consumed; untouched unions
     expose both arms.
     """
-    if isinstance(term, Empty):
-        return _DEAD
     if isinstance(term, Epsilon):
-        return _View([], True, True)
+        return _View([], True)
     if isinstance(term, Atom):
         if path in assignment:
-            return _View([], True, True)
-        return _View([(path, term.ann)], False, True)
+            return _View([], True)
+        return _View([(path, term.ann)], False)
     if isinstance(term, Check):
-        return _View([], _safe_eval(term.guard, env), True)
+        return _View([], _safe_eval(term.guard, env))
     left = _view(term.left, assignment, env, path + (0,))
     right = _view(term.right, assignment, env, path + (1,))
     if isinstance(term, Seq):
         if _assigned_under(assignment, path + (1,)):
             return right  # the left part completed when the right began
-        if not (left.alive and right.alive):
-            return _DEAD
         frontier = list(left.frontier)
         if left.nullable:
             frontier += right.frontier
-        return _View(frontier, left.nullable and right.nullable, True)
+        return _View(frontier, left.nullable and right.nullable)
     if isinstance(term, Union):
         left_used = _assigned_under(assignment, path + (0,))
         right_used = _assigned_under(assignment, path + (1,))
@@ -229,17 +200,9 @@ def _view(term, assignment, env, path=()):
             return left
         if right_used:
             return right
-        if not left.alive:
-            return right
-        if not right.alive:
-            return left
-        return _View(left.frontier + right.frontier, left.nullable or right.nullable, True)
+        return _View(left.frontier + right.frontier, left.nullable or right.nullable)
     if isinstance(term, Shuffle):
-        if not (left.alive and right.alive):
-            return _DEAD
-        return _View(
-            left.frontier + right.frontier, left.nullable and right.nullable, True
-        )
+        return _View(left.frontier + right.frontier, left.nullable and right.nullable)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -262,12 +225,9 @@ def oracle_verdict(term, trace, topics=None, max_states=4096):
     survives.
     """
     topics = frozenset(topics) if topics is not None else None
-    start = _view(term, {}, Env.empty())
-    states = [({}, Env.empty())] if start.alive else []
-    if any(_view(term, a, e).nullable for a, e in states):
+    states = [({}, Env.empty())]
+    if _view(term, {}, Env.empty()).nullable:
         return Verdict.SATISFIED
-    if not states:
-        return Verdict.VIOLATED
     for j, event in enumerate(trace):
         if topics is not None and canonical_topic(event.get("topic")) not in topics:
             continue
@@ -281,8 +241,7 @@ def oracle_verdict(term, trace, topics=None, max_states=4096):
                 if res.outcome is MatchOutcome.PROGRESS:
                     extended = dict(assignment)
                     extended[occ_path] = j
-                    if _view(term, extended, res.env).alive:
-                        successors.append((extended, res.env))
+                    successors.append((extended, res.env))
                 elif (
                     res.outcome is MatchOutcome.GUARD_FAIL
                     and ann.effective_policy() == "violate"

@@ -384,11 +384,6 @@ class Term:
 
 
 @dataclass(frozen=True)
-class Empty(Term):
-    """Matches nothing at all."""
-
-
-@dataclass(frozen=True)
 class Epsilon(Term):
     """Matches exactly the empty trace."""
 
@@ -423,14 +418,11 @@ class Shuffle(Term):
     right: Term
 
 
-EMPTY = Empty()
 EPSILON = Epsilon()
 
 
 def seq(left, right):
-    """Sequence with unit/absorption simplification (for derived terms)."""
-    if isinstance(left, Empty) or isinstance(right, Empty):
-        return EMPTY
+    """Sequence with unit simplification (for derived terms)."""
     if isinstance(left, Epsilon):
         return right
     if isinstance(right, Epsilon):
@@ -438,17 +430,7 @@ def seq(left, right):
     return Seq(left, right)
 
 
-def union(left, right):
-    if isinstance(left, Empty):
-        return right
-    if isinstance(right, Empty):
-        return left
-    return Union(left, right)
-
-
 def shuffle(left, right):
-    if isinstance(left, Empty) or isinstance(right, Empty):
-        return EMPTY
     if isinstance(left, Epsilon):
         return right
     if isinstance(right, Epsilon):
@@ -472,7 +454,7 @@ def nullable(term, env):
     """
     if isinstance(term, Epsilon):
         return True
-    if isinstance(term, (Empty, Atom)):
+    if isinstance(term, Atom):
         return False
     if isinstance(term, Check):
         try:

@@ -281,6 +281,15 @@ def test_run_all_without_output_is_usage_error(tree_path, tmp_path, monkeypatch,
         assert list(tmp_path.iterdir()) == [], output
 
 
+def test_run_an_empty_trace_path_is_an_input_error(tree_path, monkeypatch, capsys):
+    """An empty ``--trace`` names no file: it exits 1 and does not read stdin."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["run", tree_path, "--trace", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["validate", "prune", "annotate", "branches",
                                      "compile", "run", "simulate"])
 def test_usage_errors_exit_1_and_help_exits_0(command, capsys):

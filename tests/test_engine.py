@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -20,14 +21,12 @@ from rvaft.terms import (
     Atom,
     Bind,
     Check,
-    Empty,
     Epsilon,
     EventAnnotation,
     Seq,
     Shuffle,
     Union,
     normalize_event,
-    union,
 )
 
 A, B, C = (plain_atom(x) for x in "abc")
@@ -37,7 +36,6 @@ EA, EB, EC = (plain_event(x) for x in "abc")
 def test_init_verdicts():
     assert Monitor(A).verdict is Verdict.UNKNOWN
     assert Monitor(Epsilon()).verdict is Verdict.SATISFIED
-    assert Monitor(Empty()).verdict is Verdict.VIOLATED
 
 
 def test_step_is_noop_once_decided():
@@ -105,7 +103,6 @@ def test_skip_policy_guard_failure_is_neutral():
     m = Monitor(rad)
     diag = m.step(normalize_event({"topic": "t_r", "v": 100}))
     assert diag.outcome == "neutral"
-    assert m.skipped == 1
     assert m.verdict is Verdict.UNKNOWN
     m.step(normalize_event({"topic": "t_r", "v": 257}))
     assert m.verdict is Verdict.SATISFIED
@@ -141,7 +138,6 @@ def test_topic_filter_drops_unsubscribed_events():
     m = Monitor(A, topics={"t_a"})
     diag = m.step({"topic": "odom", "x": 1.0})
     assert diag.outcome == "dropped"
-    assert m.skipped == 1
     m.step(EA)
     assert m.verdict is Verdict.SATISFIED
 
@@ -197,6 +193,52 @@ def test_merged_attribution(spec, traces):
     result = run_trace(spec, "merged", traces["fault-at-waypoint"]["bad"])
     assert result.final_verdict is Verdict.SATISFIED
     assert result.records[-1].live_branches == ("phi2",)
+
+
+# ROADMAP item 1: the merged monitor must end ⊤ whenever some branch does.
+# Both traces below break that today, each for its own cause; the branch's
+# case passes and the merged case is a strict xfail until item 1 lands.
+_ITEM_1 = "ROADMAP item 1, cause {}: merged ends ⊥ where a branch ends ⊤"
+
+
+@pytest.mark.parametrize("which", [
+    "phi2",
+    pytest.param("merged", marks=pytest.mark.xfail(strict=True, reason=_ITEM_1.format(
+        "A: the first stage's union commits to the arm of move(5)"))),
+])
+def test_item_1_cause_a_move_then_arrival_ends_top(which, spec):
+    trace = [normalize_event(e) for e in (
+        {"topic": "command", "name": "move", "waypoint": 5},
+        {"topic": "move_base/result", "waypoint": 0, "result": "success"},
+        {"topic": "command", "name": "inspect", "waypoint": 0},
+        {"topic": "radiation_sensor_plugin/sensor_0", "value": 300, "time": 16.1},
+        {"topic": "command", "name": "move", "waypoint": 2, "time": 40.1},
+    )]
+    assert run_trace(spec, which, trace).final_verdict is Verdict.SATISFIED
+
+
+@pytest.mark.parametrize("which", [
+    "phi1",
+    pytest.param("merged", marks=pytest.mark.xfail(strict=True, reason=_ITEM_1.format(
+        "B: the guard X > 5 stays a check after the shared head a(X)"))),
+])
+def test_item_1_cause_b_guard_folded_into_a_shared_head_ends_top(which):
+    def atom(name, pattern):
+        return {"class": "fault", "event": {"name": name, "pattern": pattern}}
+
+    tree = parse_tree(json.dumps({"name": "cause_b", "root": "r", "nodes": {
+        "r": {"gate": {"kind": "SAND_LR", "children": ["a", "o"]}},
+        "o": {"gate": {"kind": "OR", "children": ["s", "c"]}},
+        "s": {"gate": {"kind": "SAND_LR", "children": ["g", "b"]}},
+        "a": atom("a", {"topic": "a", "x": {"bind": "X"}}),
+        "g": {"event": {"name": "g", "pattern": {}, "guard": "X > 5"}},
+        "b": atom("b", {"topic": "b"}),
+        "c": atom("c", {"topic": "c"}),
+    }}))
+    spec = compile_tree(tree)
+    trace = [normalize_event(e) for e in ({"topic": "a", "x": 1}, {"topic": "a", "x": 7},
+                                          {"topic": "b"})]
+    assert run_trace(spec, which, trace).final_verdict is Verdict.SATISFIED
 
 
 def test_run_trace_empty_is_unknown(spec):
@@ -274,7 +316,6 @@ def test_off_frontier_event_is_skipped_without_deriving(monkeypatch):
     monkeypatch.setattr(engine, "nullable", _refuse)
     for ev in (EC, EA):  # subscribed, but not next or already consumed
         assert m.step(ev).outcome == "neutral"
-    assert m.skipped == 2
     assert m.alternatives is alternatives
     assert m.verdict is Verdict.UNKNOWN
     assert m.step({"topic": "odom"}).outcome == "dropped"
@@ -402,16 +443,16 @@ def _spec(*terms):
     ``terms`` and whose merged term is their union."""
     props = tuple(BranchProperty(f"phi{i}", (), "fault", term)
                   for i, term in enumerate(terms, 1))
-    return MonitorSpec(props, functools.reduce(union, terms), None)
+    return MonitorSpec(props, functools.reduce(Union, terms), None)
 
 
 def _replay(spec, which, trace, strict):
-    """Per step of the ``which`` runner's monitor: outcome, alternatives,
-    verdict and skip count; how many steps met an event off the frontier;
-    and how many met one whose topic's next atoms were tested alone. After
-    every event the cached bindings equal those merged afresh from the
-    alternatives, and the record `feed` returned carries the attribution and
-    bindings computed afresh."""
+    """Per step of the ``which`` runner's monitor: outcome, alternatives and
+    verdict; how many steps met an event off the frontier; and how many met
+    one whose topic's next atoms were tested alone. After every event the
+    cached bindings equal those merged afresh from the alternatives, and the
+    record `feed` returned carries the attribution and bindings computed
+    afresh."""
     runner = TraceRunner(spec, which, strict=strict)
     m = runner.monitor
     diags = []
@@ -426,13 +467,13 @@ def _replay(spec, which, trace, strict):
     for ev in trace:
         if m.verdict is Verdict.UNKNOWN and m.frontier is not None:
             off_frontier += ev.get("topic") not in m.frontier
-            atom_tested += ev.get("topic") in m._tests
+            atom_tested += bool(m._route.get(ev.get("topic")))
         record = runner.feed(ev)
         assert m.bindings() == {k: v for a in m.alternatives for k, v in a.env.items}
         assert record.live_branches == runner.attribution()
         assert record.bindings == (m.bindings() or None)
         diag = diags[-1]
-        rows.append((diag.outcome, tuple(m.alternatives), m.verdict, m.skipped))
+        rows.append((diag.outcome, tuple(m.alternatives), m.verdict))
     return rows, off_frontier, atom_tested
 
 

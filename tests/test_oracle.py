@@ -7,7 +7,6 @@ from rvaft.terms import (
     Atom,
     Bind,
     Check,
-    Empty,
     Env,
     EventAnnotation,
     Seq,
@@ -28,10 +27,6 @@ def test_language_seq_is_ordered():
     assert language(Seq(A, B), Env.empty(), [EA, EB], 2) == {(0, 1)}
 
 
-def test_language_empty_term():
-    assert language(Empty(), Env.empty(), [EA, EB], 2) == set()
-
-
 def test_matches_threads_bindings():
     bindx = Atom(EventAnnotation("x", (("topic", "t"), ("v", Bind("x")))))
     guard = Check(parse_guard("x >= 2"))
@@ -46,8 +41,6 @@ def test_prefix_envs_is_optimistic_about_pending_atoms():
     term = Seq(A, B)
     assert prefix_envs(term, Env.empty(), [EA])
     assert not prefix_envs(term, Env.empty(), [EB])
-    # A sequence into Empty can never complete: not even a viable prefix.
-    assert not prefix_envs(Seq(A, Empty()), Env.empty(), [EA])
 
 
 def test_oracle_incomplete_sequence_is_unknown():

@@ -37,7 +37,7 @@ from rvaft.terms import (
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
-TERM_NODES = {"Atom", "Check", "Empty", "Epsilon", "Seq", "Shuffle", "Union"}
+TERM_NODES = {"Atom", "Check", "Epsilon", "Seq", "Shuffle", "Union"}
 # Dataclasses that are not term nodes, each kept for a reason:
 DATACLASS_EXCEPTIONS = {
     "EventAnnotation",  # test_terms.py checks its fields() and replace()

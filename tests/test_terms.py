@@ -14,13 +14,11 @@ from rvaft.terms import (
     Atom,
     Bind,
     Check,
-    Empty,
     Env,
     Epsilon,
     EventAnnotation,
     MatchOutcome,
     Seq,
-    Union,
     eval_guard,
     guard_vars,
     iter_atoms,
@@ -196,17 +194,10 @@ def test_effective_policy_is_derived_once_and_is_no_field():
 def test_nullable_basics():
     a = Atom(MOVE)
     assert nullable(Epsilon(), Env.empty()) is True
-    assert nullable(Empty(), Env.empty()) is False
     assert nullable(Seq(a, Epsilon()), Env.empty()) is False
     env = Env(items=(("T1", 16.1), ("T2", 30.241)))
     assert nullable(Check(parse_guard("T2 >= T1 + 10")), env) is True
     assert nullable(Check(parse_guard("T2 >= T1 + 10")), Env.empty()) is False
-
-
-def test_nullable_union_with_empty_is_neutral():
-    for term in (Epsilon(), Atom(MOVE), Check(parse_guard("x == 1"))):
-        env = Env(items=(("x", 1.0),))
-        assert nullable(Union(term, Empty()), env) == nullable(term, env)
 
 
 def test_env_bind_once():
