@@ -11,7 +11,7 @@ from .compiler import (
     translate_sand,
     translate_vot,
 )
-from .engine import Monitor, RunResult, TraceRunner, Verdict, run_trace
+from .engine import Monitor, TraceRunner, Verdict
 from .errors import RvaftError
 from .fileformat import (
     emit_spec,
@@ -42,12 +42,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom", "Bind", "BranchProperty", "Check", "Env", "Epsilon",
-    "EventAnnotation", "GateSpec", "Monitor", "MonitorSpec", "RunResult",
+    "EventAnnotation", "GateSpec", "Monitor", "MonitorSpec",
     "RvaftError", "RvaftNode", "RvaftTree", "Seq", "Shuffle", "Term",
     "TraceRunner", "Union", "Verdict", "Violation", "annotate", "compile_tree",
     "decompose", "emit_spec", "eval_guard", "match_event",
     "merge", "nullable", "parse_guard", "parse_tree",
-    "print_guard", "prune", "read_trace", "run_trace", "serialize_tree",
+    "print_guard", "prune", "read_trace", "serialize_tree",
     "translate_and", "translate_or", "translate_sand", "translate_vot",
     "validate",
 ]

@@ -17,7 +17,7 @@ picture; the altered goal is 2, the honest goal is 1.
 from __future__ import annotations
 
 from .fileformat import parse_tree
-from .terms import normalize_event
+from .terms import canonical_topic, normalize_event
 
 SCENARIOS = (
     "fault-moving",
@@ -104,7 +104,7 @@ def scenario_events(scenario, outcome):
     out = []
     for raw in scenario_trace(scenario, outcome):
         ev = normalize_event(raw)
-        ev["topic"] = ev["topic"].lstrip("/")
+        ev["topic"] = canonical_topic(ev["topic"])
         out.append(ev)
     return out
 

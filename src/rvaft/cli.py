@@ -41,8 +41,6 @@ from .model import annotate as annotate_node, prune, validate
 
 log = logging.getLogger("rvaft")
 
-_UNKNOWN = Verdict.UNKNOWN
-
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -140,63 +138,51 @@ REPLAY_BATCH_LINES = 1000
 
 
 class _VerdictWriter:
-    """Writes one runner's verdict lines to ``out`` as soon as each is final.
+    """Writes one runner's verdict lines to ``out``, numbering them from 0.
 
     On live input (stdin, ``--listen``) every line is final once its event is
     stepped, and is written and flushed on its own: the end of a live input
     only means that the feed stopped, so it closes nothing. A replay
-    (``--trace``) writes ``REPLAY_BATCH_LINES`` lines per write and flush, and
-    holds a ``?`` line until the next event or the end of the input, since
-    at its end ``TraceRunner.finish`` may still close that line to
-    ``bottom``. A ``top`` or ``bottom`` line is final at once, since the
-    verdict is sticky.
+    (``--trace``) writes ``REPLAY_BATCH_LINES`` lines per write and flush,
+    and keeps its newest line pending until the next event or the end of the
+    input, where ``close`` lets the closing state from
+    ``TraceRunner.finish`` replace it.
 
-    The body of the last line written (everything after ``event_index``) is
-    kept with the state it was built from, and reused while the next
-    record's state is the same objects. ``TraceRunner.feed`` hands on those
-    objects while no monitor changed, so a line is built once per monitor
-    state rather than once per event.
+    A line's body (everything after ``event_index``) is built from a state
+    and reused while the runner hands on that same state object, which it
+    does while no monitor changes: a line is built once per monitor state
+    rather than once per event.
     """
 
     def __init__(self, out, replay):
         self.out = out
         self.replay = replay
-        self.batch = REPLAY_BATCH_LINES if replay else 1
-        self.held = None
+        self.index = 0  # the next line's event_index
+        self.state = self.body = None  # the newest state and its body
         self.pending = []
-        # The state body was built from: verdict, property, live_branches,
-        # skipped and bindings.
-        self.verdict = self.property = self.live_branches = None
-        self.skipped = self.bindings = None
-        self.body = None
 
-    def push(self, record):
-        if self.held is not None:
-            self._emit(self.held)
-            self.held = None
-        if record.verdict is _UNKNOWN and self.replay:
-            self.held = record
-        else:
-            self._emit(record)
-
-    def close(self):
-        if self.held is not None:
-            self._emit(self.held)
-        if self.pending:
+    def push(self, state):
+        if state is not self.state:
+            self.state = state
+            self.body = verdict_record_body(state)
+        line = verdict_record_line(self.index, self.body) + "\n"
+        self.index += 1
+        if not self.replay:
+            self.out.write(line)
+            self.out.flush()
+            return
+        if len(self.pending) >= REPLAY_BATCH_LINES:
             self._drain()
+        self.pending.append(line)
 
-    def _emit(self, record):
-        if not (record.live_branches is self.live_branches
-                and record.bindings is self.bindings
-                and record.verdict is self.verdict
-                and record.skipped is self.skipped
-                and record.property is self.property):
-            self.body = verdict_record_body(record)
-            self.verdict, self.property = record.verdict, record.property
-            self.live_branches, self.skipped = record.live_branches, record.skipped
-            self.bindings = record.bindings
-        self.pending.append(verdict_record_line(record, self.body) + "\n")
-        if len(self.pending) >= self.batch:
+    def close(self, state=None):
+        """Write every pending line. A closing ``state`` other than the
+        newest replaces the newest line; without one (an interrupt), that
+        line stays as it stood."""
+        if state is not None and state is not self.state and self.pending:
+            self.pending[-1] = verdict_record_line(
+                self.index - 1, verdict_record_body(state)) + "\n"
+        if self.pending:
             self._drain()
 
     def _drain(self):
@@ -262,30 +248,30 @@ def cmd_run(args):
                 for feed, push in steps:
                     push(feed(event))
         except KeyboardInterrupt:
-            # Every line of an event read so far goes out; a replay's held
-            # ``?`` line stays ``?``, since the input did not end.
+            # Every line of an event read so far goes out; a replay's newest
+            # line stays as it stood, since the input did not end.
             for writer in writers:
                 writer.close()
             raise
-        finals = [runner.finish() if replay else runner.monitor.verdict
-                   for runner in runners]
-        for writer in writers:
-            writer.close()
+        finals = [runner.finish() if replay else runner.state for runner in runners]
+        for writer, final in zip(writers, finals):
+            writer.close(final)
 
     print(f"trace: lines={stats.lines} events={stats.events} malformed={stats.malformed}",
           file=sys.stderr)
-    for runner, final in zip(runners, finals):
-        attribution = sorted(runner.attribution()) if final is Verdict.SATISFIED else []
+    for final in finals:
+        detected = final.verdict is Verdict.SATISFIED
+        attribution = sorted(final.live_branches) if detected else []
         classes = sorted(
             {p.node_class for p in spec.properties if p.id in attribution}
         )
         print(
-            f"{runner.which}: verdict={final.symbol()}"
+            f"{final.property}: verdict={final.verdict.symbol()}"
             + (f" detected={'/'.join(classes)} branches={','.join(attribution)}"
-               if final is Verdict.SATISFIED else ""),
+               if detected else ""),
             file=sys.stderr,
         )
-    return 2 if Verdict.SATISFIED in finals else 0
+    return 2 if any(final.verdict is Verdict.SATISFIED for final in finals) else 0
 
 
 def cmd_simulate(args):

@@ -200,10 +200,6 @@ class Monitor:
         if len(alternatives) > self.peak_alternatives:
             self.peak_alternatives = len(alternatives)
         self.verdict = self._assess()
-        bindings = {}
-        for alt in alternatives:
-            bindings.update(alt.env.items)
-        self._bindings = MappingProxyType(bindings)
         self.frontier = None
         # A frontier topic's atom tests, or None where some next atom needs
         # the alternatives' bindings.
@@ -272,40 +268,36 @@ class Monitor:
         self._replace_alternatives(new_alts)
         return _PROGRESSED if new_alts else _ELIMINATED
 
-    def bindings(self):
-        """Union of bindings across live alternatives (diagnostic view), read
-        only. It changes only with the alternatives, so it is built there."""
-        return self._bindings
+
+class VerdictState:
+    """What a verdict line says after its ``event_index``: the property's
+    verdict, the property, the branches still live, the property monitor's
+    bindings (a read-only mapping, or None when none is set) and whether the
+    property monitor skipped the event. Never changed once built, so a line
+    built from a state holds for as long as that state object does."""
+
+    __slots__ = ("verdict", "property", "live_branches", "bindings", "skipped")
+
+    def __init__(self, verdict, property, live_branches=(), bindings=None, skipped=False):
+        for name, value in zip(self.__slots__,
+                               (verdict, property, live_branches, bindings, skipped)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a VerdictState is immutable: cannot set {name!r}")
 
 
-class VerdictEntry:
-    """One output row per input event."""
-
-    __slots__ = ("event_index", "verdict", "property", "live_branches", "bindings",
-                 "skipped")
-
-    def __init__(self, event_index, verdict, property, live_branches=(), bindings=None,
-                 skipped=False):
-        self.event_index = event_index
-        self.verdict = verdict
-        self.property = property
-        self.live_branches = live_branches
-        self.bindings = bindings  # a read-only mapping, or None
-        self.skipped = skipped
-
-
-class RunResult:
-    __slots__ = ("verdicts", "records", "state", "final_verdict")
-
-    def __init__(self, verdicts, records, state, final_verdict):
-        self.verdicts = verdicts  # (event_index, Verdict) pairs, one per input event
-        self.records = records  # VerdictEntry per input event
-        self.state = state  # the Monitor
-        self.final_verdict = final_verdict
+def _bindings(monitor):
+    """The union of the bindings of the monitor's live alternatives, read
+    only, or None when none is set."""
+    bindings = {}
+    for alt in monitor.alternatives:
+        bindings.update(alt.env.items)
+    return MappingProxyType(bindings) if bindings else None
 
 
 # The step outcomes that leave a monitor as it was.
-_SKIPPED = frozenset({"dropped", "neutral", "decided"})
+_SKIPPED = frozenset({_DROPPED, _NEUTRAL, _DECIDED})
 
 
 class TraceRunner:
@@ -330,8 +322,10 @@ class TraceRunner:
             for pid, t in shadow_terms.items()
         }
         self._shadows = tuple(self.shadows.values())  # what feed steps, built once
-        self.events = 0  # fed so far: the next record's event_index
-        self.last = None  # the latest record, which finish() may still close
+        # The state before any event. It is not skipped, so the first event
+        # always builds a new state: ``finish`` tells an empty trace by it.
+        self._start = self.state = VerdictState(
+            self.monitor.verdict, which, self.attribution(), _bindings(self.monitor))
 
     def attribution(self):
         if self.which != "merged":
@@ -341,54 +335,33 @@ class TraceRunner:
         return tuple(pid for pid, m in self.shadows.items() if m.verdict is not _VIOLATED)
 
     def feed(self, event):
-        """Step every monitor and return the event's record. Attribution and
-        bindings change only when some monitor's alternatives do, so on any
-        other event the previous record's are handed on."""
-        monitor = self.monitor
-        diag = monitor.step(event)
-        skipped = diag.outcome in _SKIPPED
+        """Step every monitor and return the state after the event. A state
+        is built only when some monitor's step changed it or the skipped flag
+        flips; on any other event this is the previous state object."""
+        state = self.state
+        skipped = self.monitor.step(event) in _SKIPPED
         changed = not skipped
         for shadow in self._shadows:
-            if shadow.step(event).outcome not in _SKIPPED:
+            if shadow.step(event) not in _SKIPPED:
                 changed = True
-        last = self.last
-        if changed or last is None:
-            live_branches = self.attribution()
-            bindings = monitor.bindings() or None
-        else:
-            live_branches = last.live_branches
-            bindings = last.bindings
-        # VerdictEntry(event_index, verdict, property, live_branches, bindings, skipped)
-        self.last = record = VerdictEntry(
-            self.events, monitor.verdict, self.which, live_branches, bindings, skipped,
-        )
-        self.events += 1
-        return record
+        if changed or not state.skipped:
+            # The bindings are the property monitor's, so they change only
+            # when it does.
+            self.state = state = VerdictState(
+                self.monitor.verdict, self.which, self.attribution(),
+                state.bindings if skipped else _bindings(self.monitor), skipped)
+        return state
 
     def finish(self):
-        """End-of-trace judgment: a still-undecided monitor over a completed,
-        nonempty trace never exhibited the fault/attack, so it closes to
-        violated, and so does the last record ``feed`` returned: no branch is
-        live on it, and its bindings stay those held when the input ended.
-        The raw state verdict is left untouched."""
-        if self.last is None:
-            return Verdict.UNKNOWN
-        if self.monitor.verdict is Verdict.UNKNOWN:
-            self.last.verdict = Verdict.VIOLATED
-            self.last.live_branches = ()
-            return Verdict.VIOLATED
-        return self.monitor.verdict
-
-
-def run_trace(spec, which, trace, strict=False, close_at_end=True):
-    """Fold a monitor over a finite trace; one verdict row per event.
-
-    With ``close_at_end`` (the default for replays) the final row reports the
-    end-of-trace judgment: an undecided monitor on a completed nonempty trace
-    closes to violated, since the trace never satisfied the property.
-    """
-    runner = TraceRunner(spec, which, strict=strict)
-    records = [runner.feed(event) for event in trace]
-    final = runner.finish() if close_at_end else runner.monitor.verdict
-    verdicts = [(r.event_index, r.verdict) for r in records]
-    return RunResult(verdicts, records, runner.monitor, final)
+        """The closing state of a completed trace. An empty trace closes to
+        unknown. A still-undecided monitor over a nonempty trace never
+        exhibited the fault/attack, so the trace closes to violated: no
+        branch is live, and the bindings stay those held when the input
+        ended. Otherwise this is the current state. The monitor's own
+        verdict is left untouched."""
+        state = self.state
+        if state is self._start:
+            return VerdictState(_UNKNOWN, self.which)
+        if state.verdict is not _UNKNOWN:
+            return state
+        return VerdictState(_VIOLATED, self.which, (), state.bindings, state.skipped)

@@ -548,31 +548,29 @@ def format_event(event):
 _RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
-def verdict_record_body(entry):
+def verdict_record_body(state):
     """Every member of a verdict line after ``event_index``, up to and with
-    the closing brace. Only scalar bindings are written, and an
-    integer-valued float as an integer."""
+    the closing brace, from a ``VerdictState``. Only scalar bindings are
+    written, and an integer-valued float as an integer."""
     out = {
-        "verdict": entry.verdict.value,
-        "property": entry.property,
-        "live_branches": sorted(entry.live_branches),
-        "skipped": bool(entry.skipped),
+        "verdict": state.verdict.value,
+        "property": state.property,
+        "live_branches": sorted(state.live_branches),
+        "skipped": bool(state.skipped),
     }
-    if entry.bindings:
+    if state.bindings:
         out["bindings"] = {
             k: (int(v) if isinstance(v, float) and v.is_integer() else v)
-            for k, v in sorted(entry.bindings.items())
+            for k, v in sorted(state.bindings.items())
             if isinstance(v, (float, str, bool))
         }
     return _RECORD_ENCODER.encode(out)[1:]
 
 
-def verdict_record_line(entry, body=None):
-    """Serialize one verdict row as a JSONL line. ``body`` is
-    ``verdict_record_body(entry)``, built here when not given."""
-    if body is None:
-        body = verdict_record_body(entry)
-    return '{"event_index": ' + str(entry.event_index) + ", " + body
+def verdict_record_line(event_index, body):
+    """One verdict line, without its newline: ``event_index`` and a body
+    from ``verdict_record_body``."""
+    return '{"event_index": ' + str(event_index) + ", " + body
 
 
 # ---------------------------------------------------------------------------

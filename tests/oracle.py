@@ -1,4 +1,5 @@
-"""Brute-force reference semantics for terms, used to validate the engine.
+"""Brute-force reference semantics for terms, used to validate the engine,
+and ``run_trace``, which folds the engine over a finite trace.
 
 Nothing here rewrites terms. Full-trace acceptance (`matches`, `language`)
 splits the concrete event list at every sequence point and enumerates every
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .engine import Verdict
-from .errors import TypeMismatchError, UnboundVariableError
-from .terms import (
+from rvaft.engine import TraceRunner, Verdict
+from rvaft.errors import TypeMismatchError, UnboundVariableError
+from rvaft.terms import (
     Atom,
     Check,
     Env,
@@ -259,3 +260,33 @@ def oracle_verdict(term, trace, topics=None, max_states=4096):
         if not states:
             return Verdict.VIOLATED
     return Verdict.UNKNOWN
+
+
+# ---------------------------------------------------------------------------
+# The engine over a finite trace
+# ---------------------------------------------------------------------------
+
+class RunResult:
+    __slots__ = ("verdicts", "records", "state", "final_verdict")
+
+    def __init__(self, verdicts, records, state, final_verdict):
+        self.verdicts = verdicts  # (event_index, Verdict) pairs, one per input event
+        self.records = records  # the VerdictState after each input event
+        self.state = state  # the Monitor
+        self.final_verdict = final_verdict
+
+
+def run_trace(spec, which, trace, strict=False, close_at_end=True):
+    """Fold a monitor over a finite trace; one verdict row per event.
+
+    With ``close_at_end`` (the default for replays) the final row reports the
+    end-of-trace judgment: an undecided monitor on a completed nonempty trace
+    closes to violated, since the trace never satisfied the property.
+    """
+    runner = TraceRunner(spec, which, strict=strict)
+    records = [runner.feed(event) for event in trace]
+    final = runner.finish() if close_at_end else runner.state
+    if records:
+        records[-1] = final
+    verdicts = list(enumerate(r.verdict for r in records))
+    return RunResult(verdicts, records, runner.monitor, final.verdict)

@@ -9,6 +9,7 @@ import random
 import time
 
 from conftest import SCENARIO_PROPERTY, gen_term, gen_trace, plain_atom, plain_event
+from oracle import language, oracle_verdict, run_trace
 
 from rvaft.casestudy import interleave, noise_events, pruned_tree, scenario_events
 from rvaft.compiler import (
@@ -19,9 +20,8 @@ from rvaft.compiler import (
     translate_sand,
     translate_vot,
 )
-from rvaft.engine import Monitor, Verdict, run_trace
+from rvaft.engine import Monitor, Verdict
 from rvaft.fileformat import emit_spec, parse_guard
-from rvaft.oracle import language, oracle_verdict
 from rvaft.terms import Env, Seq, Shuffle, Union, eval_guard, normalize_event
 
 

@@ -21,7 +21,7 @@ from conftest import CASES
 from rvaft import cli
 from rvaft.cli import main
 from rvaft.casestudy import OUTCOMES, SCENARIOS, pruned_tree
-from rvaft.engine import Verdict, VerdictEntry
+from rvaft.engine import Verdict, VerdictState
 from rvaft.fileformat import (
     parse_tree,
     serialize_tree,
@@ -605,6 +605,75 @@ def test_replay_batches_its_writes(tree_path, tmp_path, monkeypatch):
     assert out.writes <= events / 500 + 2
 
 
+class _TextStdout(_CountingStdout):
+    """A counting stdout that keeps what is written."""
+
+    def __init__(self):
+        super().__init__()
+        self.text = []
+
+    def write(self, text):
+        self.text.append(text)
+        return super().write(text)
+
+    def records(self):
+        return [json.loads(line) for line in "".join(self.text).splitlines()]
+
+
+BOUNDARY = [cli.REPLAY_BATCH_LINES, cli.REPLAY_BATCH_LINES + 1]
+
+
+@pytest.mark.parametrize("events", BOUNDARY)
+def test_a_replay_at_the_batch_boundary_closes_its_newest_line(tree_path, tmp_path,
+                                                               monkeypatch, events):
+    """A replay that ends undecided with a full batch pending, or one line
+    past it: its closing state replaces the newest line, which reads
+    `bottom`, every `event_index` is written once, and each batch goes out
+    in one write and one flush."""
+    trace = tmp_path / "patrol.trace.jsonl"
+    trace.write_text("".join(_patrol_lines(events)))
+    out = _TextStdout()
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["run", tree_path, "--trace", str(trace)]) == 0
+    records = out.records()
+    assert [r["event_index"] for r in records] == list(range(events))
+    assert [r["verdict"] for r in records] == ["?"] * (events - 1) + ["bottom"]
+    assert records[-1]["live_branches"] == [] and records[-2]["live_branches"]
+    batches = -(-events // cli.REPLAY_BATCH_LINES)
+    assert out.writes == out.flushes == batches
+
+
+@pytest.mark.parametrize("read", BOUNDARY)
+def test_an_interrupt_at_the_batch_boundary_leaves_the_newest_line_as_it_stood(
+        tree_path, tmp_path, monkeypatch, capsys, read):
+    """An interrupt after a full batch of events, or one past it, writes the
+    line of every event read once, the newest a `?` line as it stood: the
+    same line an uninterrupted replay of a longer trace writes there."""
+    trace = tmp_path / "patrol.trace.jsonl"
+    trace.write_text("".join(_patrol_lines(read + 5)))
+    whole = _TextStdout()
+    monkeypatch.setattr("sys.stdout", whole)
+    assert main(["run", tree_path, "--trace", str(trace)]) == 0
+    read_trace = cli.read_trace
+
+    def interrupted(*args):
+        for i, event in enumerate(read_trace(*args)):
+            if i == read:
+                raise KeyboardInterrupt
+            yield event
+
+    monkeypatch.setattr(cli, "read_trace", interrupted)
+    out = _TextStdout()
+    monkeypatch.setattr("sys.stdout", out)
+    capsys.readouterr()
+    assert main(["run", tree_path, "--trace", str(trace)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    records = out.records()
+    assert [r["event_index"] for r in records] == list(range(read))
+    assert records == whole.records()[:read]
+    assert records[-1]["verdict"] == "?" and records[-1]["live_branches"]
+
+
 # Bindings a record may carry: non-ASCII strings, integer-valued floats,
 # tuple and dict values (which a line leaves out), and `True` next to `1.0`,
 # which are equal in Python but written differently.
@@ -618,14 +687,14 @@ _BINDINGS = (
 )
 
 
-def _writer_records(seed, n=600):
-    """Seeded records in runs that hand on one state's objects, as
-    `TraceRunner.feed` does, broken by a change of one member or by bindings
-    that are equal but fresh objects. The last record is a `?` with the
-    state of the one before it."""
+def _writer_states(seed, n=600):
+    """Seeded states in runs of one object, as `TraceRunner.feed` hands
+    them on, each run begun by a new state that sets one member or holds
+    equal bindings in a fresh object. The last state is a `?` state that is
+    the one before it."""
     rng = random.Random(seed)
-    state = {"verdict": Verdict.UNKNOWN, "property": "merged",
-             "live_branches": ("phi1", "phi2"), "skipped": True, "bindings": None}
+    members = {"verdict": Verdict.UNKNOWN, "property": "merged",
+               "live_branches": ("phi1", "phi2"), "skipped": True, "bindings": None}
     choices = {
         "verdict": list(Verdict),
         "property": ["merged", "phi1", "phi2"],
@@ -633,58 +702,67 @@ def _writer_records(seed, n=600):
         "skipped": [False, True],
         "bindings": list(_BINDINGS),
     }
-    records = []
+    state = VerdictState(**members)
+    states = []
     for i in range(n):
         roll = rng.random() if i < n - 2 else 1.0
         if roll < 0.15:
             member = rng.choice(sorted(choices))
             value = rng.choice(choices[member])
-            state[member] = dict(value) if isinstance(value, dict) else value
-        elif roll < 0.25 and state["bindings"] is not None:
-            state["bindings"] = dict(state["bindings"])
+            members[member] = dict(value) if isinstance(value, dict) else value
+            state = VerdictState(**members)
+        elif roll < 0.25 and members["bindings"] is not None:
+            members["bindings"] = dict(members["bindings"])
+            state = VerdictState(**members)
         if i == n - 2:
-            state["verdict"] = Verdict.UNKNOWN
-        records.append(VerdictEntry(event_index=i, **state))
-    return records
+            members["verdict"] = Verdict.UNKNOWN
+            state = VerdictState(**members)
+        states.append(state)
+    return states
+
+
+def _line(index, state):
+    return verdict_record_line(index, verdict_record_body(state)) + "\n"
 
 
 @pytest.mark.parametrize("replay", [False, True], ids=["live", "replay"])
 def test_writer_output_equals_a_line_built_afresh_per_record(replay, monkeypatch):
     """The writer writes the bytes that building every line afresh gives,
-    and builds a line's body again only for a record whose state is not the
-    previous record's objects: also for equal bindings in fresh objects, and
-    for a replay's held `?` line that the end of the input closes to
-    `bottom`. A live writer holds nothing: when a push returns, that
-    record's line is out, and the last `?` line stays as written."""
+    and builds a line's body again only for a state that is not the
+    previous state object: also for equal bindings in a fresh object, and
+    for the closing state that replaces a replay's newest `?` line with
+    `bottom`. A live writer keeps nothing pending: when a push returns, that
+    state's line is out, and the last `?` line stays as written."""
     built = []
 
-    def counted_body(record):
-        built.append(record.event_index)
-        return verdict_record_body(record)
+    def counted_body(state):
+        built.append(state)
+        return verdict_record_body(state)
 
     monkeypatch.setattr(cli, "verdict_record_body", counted_body)
     for seed in range(20):
-        records = _writer_records(seed)
+        states = _writer_states(seed)
         out = io.StringIO()
         writer = cli._VerdictWriter(out, replay)
         built.clear()
         written = 0
-        for record in records:
-            writer.push(record)
+        for i, state in enumerate(states):
+            writer.push(state)
             if not replay:
-                line = verdict_record_line(record) + "\n"
+                line = _line(i, state)
                 assert out.getvalue()[written:] == line
                 written += len(line)
-        if replay:
-            records[-1].verdict = Verdict.VIOLATED  # what TraceRunner.finish does
-        writer.close()
-        assert out.getvalue() == "".join(verdict_record_line(r) + "\n" for r in records)
-        members = ("verdict", "property", "live_branches", "skipped", "bindings")
-        changes = sum(any(getattr(a, m) is not getattr(b, m) for m in members)
-                      for a, b in zip(records, records[1:]))
-        assert len(built) == 1 + changes
-        # the last record has the state of the one before, unless closed
-        assert (built[-1] == records[-1].event_index) == replay
+        last = states[-1]
+        # what TraceRunner.finish returns on a replay; the runner's state live
+        closing = (VerdictState(Verdict.VIOLATED, last.property, (), last.bindings,
+                                last.skipped) if replay else last)
+        writer.close(closing)
+        assert out.getvalue() == "".join(
+            _line(i, state) for i, state in enumerate(states[:-1] + [closing]))
+        changes = sum(a is not b for a, b in zip(states, states[1:]))
+        assert len(built) == 1 + changes + replay
+        # the last state is the one before it, so only a closing one is built
+        assert built[-1] is closing and (built[-2] is last) == replay
 
 
 def test_stdin_writes_and_flushes_each_line_as_it_is_final(tree_path, monkeypatch, capsys):
@@ -710,10 +788,10 @@ def test_stdin_writes_and_flushes_each_line_as_it_is_final(tree_path, monkeypatc
 
 def test_cli_import_leaves_out_what_a_run_does_not_use():
     """Importing the command line loads neither the TCP stack, which only
-    --listen needs, nor the test oracle nor statistics."""
+    --listen needs, nor statistics."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     check = ("import rvaft.cli, sys; "
-             "print(sorted({'socket', 'statistics', 'rvaft.oracle'} & set(sys.modules)))")
+             "print(sorted({'socket', 'statistics'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
     assert out.strip() == "[]"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import plain_atom, plain_event
+from oracle import language
 
 from rvaft.compiler import (
     compile_tree,
@@ -20,7 +21,6 @@ from rvaft.compiler import (
 from rvaft.errors import InvalidKError, UnclassifiedBranchError
 from rvaft.fileformat import parse_guard
 from rvaft.model import GateSpec, RvaftNode, RvaftTree
-from rvaft.oracle import language
 from rvaft.engine import Monitor, Verdict
 from rvaft.terms import (
     Atom, Bind, Check, Env, EventAnnotation, Seq, Shuffle, Term, Union, term_bind_vars,

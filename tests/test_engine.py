@@ -7,15 +7,15 @@ from pathlib import Path
 import pytest
 
 from conftest import SCENARIO_PROPERTY, gen_term, gen_trace, plain_atom, plain_event
+from oracle import oracle_verdict, run_trace
 
 from rvaft import engine
 from rvaft.casestudy import interleave, noise_events, scenario_events
 from rvaft.compiler import BranchProperty, MonitorSpec, compile_tree
-from rvaft.engine import Monitor, TraceRunner, Verdict, run_trace
+from rvaft.engine import Monitor, TraceRunner, Verdict
 from rvaft.errors import UnknownPropertyError
 from rvaft.fileformat import parse_guard, parse_tree
 from rvaft.model import annotate
-from rvaft.oracle import oracle_verdict
 from rvaft.terms import (
     NO_MATCH,
     Atom,
@@ -476,10 +476,9 @@ def _replay(spec, which, trace, strict):
     verdict; how many steps met an event off the frontier; how many met one
     whose topic's next atoms were tested alone; and how many met an event off
     the frontier on the topic of an atom that sits behind a check that does
-    not hold under its alternative's bindings. After every event the
-    cached bindings equal those merged afresh from the alternatives, and the
-    record `feed` returned carries the attribution and bindings computed
-    afresh."""
+    not hold under its alternative's bindings. After every event the state
+    `feed` returned carries the attribution computed afresh, and bindings
+    equal to those merged afresh from the alternatives."""
     runner = TraceRunner(spec, which, strict=strict)
     m = runner.monitor
     diags = []
@@ -499,10 +498,10 @@ def _replay(spec, which, trace, strict):
             atom_tested += isinstance(m._route.get(topic), tuple)
             behind_check += off and any(
                 topic in _behind_failed_checks(a.term, a.env) for a in m.alternatives)
-        record = runner.feed(ev)
-        assert m.bindings() == {k: v for a in m.alternatives for k, v in a.env.items}
-        assert record.live_branches == runner.attribution()
-        assert record.bindings == (m.bindings() or None)
+        state = runner.feed(ev)
+        assert state.live_branches == runner.attribution()
+        assert state.bindings == ({k: v for a in m.alternatives for k, v in a.env.items}
+                                  or None)
         diag = diags[-1]
         rows.append((diag.outcome, tuple(m.alternatives), m.verdict))
     return rows, off_frontier, atom_tested, behind_check
@@ -545,8 +544,8 @@ def test_frontier_skip_matches_full_derivation_and_oracle(strict, monkeypatch):
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
 def test_records_carry_fresh_attribution_and_bindings(strict, spec, traces):
-    """`feed` hands on the previous record's attribution and bindings unless
-    some monitor's alternatives changed; at every event, for the merged
+    """`feed` hands on the previous state unless some monitor's alternatives
+    changed or the skipped flag flipped; at every event, for the merged
     monitor and every branch, they equal those computed afresh. Streams: the
     scenario traces, noisy interleavings of the bad ones, and wild random
     terms and traces."""
@@ -570,12 +569,43 @@ def test_records_carry_fresh_attribution_and_bindings(strict, spec, traces):
 
 def test_bindings_are_read_only_and_kept_while_the_alternatives_are():
     ann = EventAnnotation("a", (("topic", "t_a"), ("x", Bind("X"))))
-    m = Monitor(Seq(Atom(ann), B))
-    assert m.bindings() == {}
-    m.step({"topic": "t_a", "x": 3.0})
-    view = m.bindings()
+    runner = TraceRunner(_spec(Seq(Atom(ann), B)), "phi1")
+    assert runner.state.bindings is None  # no binding is set
+    state = runner.feed({"topic": "t_a", "x": 3.0})
+    view = state.bindings
     assert view == {"X": 3.0}
     with pytest.raises(TypeError):
         view["X"] = 4.0
-    assert m.step(EC).outcome == "neutral"
-    assert m.bindings() is view
+    with pytest.raises(AttributeError):
+        state.bindings = None
+    state = runner.feed(EC)
+    assert state.skipped  # neutral
+    assert state.bindings is view
+
+
+def test_feed_hands_on_one_state_until_a_monitor_changes_or_skipped_flips():
+    ax = Atom(EventAnnotation("a", (("topic", "t_a"), ("x", Bind("X")))))
+    runner = TraceRunner(_spec(Seq(ax, B), Seq(ax, C)), "merged")
+    ea = {"topic": "t_a", "x": 1.0}
+    start = runner.state
+    noise = runner.feed(EC)  # neutral for every monitor; the start is not skipped
+    assert noise is not start and noise.skipped
+    assert runner.feed(EC) is noise
+    progressed = runner.feed(ea)
+    assert not progressed.skipped and progressed.live_branches == ("phi1", "phi2")
+    assert progressed.bindings == {"X": 1.0}
+    assert runner.feed(ea) is not progressed  # the skipped flag flips
+    again = runner.feed(ea)
+    assert again.skipped and runner.feed(ea) is again
+    top = runner.feed(EB)
+    assert top.verdict is Verdict.SATISFIED and top.live_branches == ("phi1",)
+    decided = runner.feed(ea)  # decided, skipped by every monitor
+    assert decided is not top and decided.skipped
+    assert runner.feed(EB) is decided
+    # Only the shadow phi2 changes: a new state, still skipped by the merged
+    # monitor, with its bindings handed on.
+    shadow_only = runner.feed(EC)
+    assert shadow_only is not decided and shadow_only.skipped
+    assert shadow_only.live_branches == ("phi1", "phi2")
+    assert shadow_only.bindings is decided.bindings
+    assert runner.feed(EC) is shadow_only

@@ -19,9 +19,10 @@ from rvaft.fileformat import (
     parse_tree,
     read_trace,
     serialize_tree,
+    verdict_record_body,
     verdict_record_line,
 )
-from rvaft.engine import Monitor, Verdict, VerdictEntry
+from rvaft.engine import Monitor, Verdict, VerdictState
 from rvaft.model import GateSpec, RvaftNode, RvaftTree, validate
 from rvaft.terms import Atom, Bind, EventAnnotation, canonical_topic
 
@@ -328,8 +329,8 @@ def test_format_event_round_trips_through_read_trace():
 # ---------------------------------------------------------------------------
 
 def test_verdict_record_schema():
-    entry = VerdictEntry(3, Verdict.SATISFIED, "phi1", ("phi1",), {"T2": 30.241}, False)
-    record = json.loads(verdict_record_line(entry))
+    state = VerdictState(Verdict.SATISFIED, "phi1", ("phi1",), {"T2": 30.241}, False)
+    record = json.loads(verdict_record_line(3, verdict_record_body(state)))
     assert record == {
         "event_index": 3,
         "verdict": "top",

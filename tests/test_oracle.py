@@ -1,8 +1,8 @@
 from conftest import plain_atom, plain_event
+from oracle import language, matches, oracle_verdict, prefix_envs
 
 from rvaft.engine import Verdict
 from rvaft.fileformat import parse_guard
-from rvaft.oracle import language, matches, oracle_verdict, prefix_envs
 from rvaft.terms import (
     Atom,
     Bind,

@@ -16,9 +16,10 @@ import sys
 import pytest
 
 from conftest import CASES
+from oracle import RunResult
 
 from rvaft.compiler import BranchProperty, MonitorSpec
-from rvaft.engine import Alternative, RunResult, StepDiagnostics, Verdict, VerdictEntry
+from rvaft.engine import Alternative, StepDiagnostics, Verdict, VerdictState
 from rvaft.fileformat import TraceStats, parse_guard, parse_tree, serialize_tree
 from rvaft.model import GateSpec, RvaftNode, RvaftTree, Violation
 from rvaft.terms import (
@@ -131,7 +132,7 @@ def plain_records():
         BranchProperty("phi1", ("a",), "fault", EPSILON),
         MonitorSpec((), None, frozenset()),
         StepDiagnostics("neutral"),
-        VerdictEntry(0, Verdict.UNKNOWN, "merged"),
+        VerdictState(Verdict.UNKNOWN, "merged"),
         RunResult([], [], None, Verdict.UNKNOWN),
         Violation("a", "no such node"),
     ]
