@@ -18,15 +18,15 @@ import argparse
 import contextlib
 import gc
 import json
-import logging
 import os
 import sys
 
 from . import casestudy
 from .compiler import compile_tree
 from .engine import TraceRunner, Verdict
-from .errors import RvaftError
+from .errors import Log, RvaftError, configure_log
 from .fileformat import (
+    REPLAY_BATCH_LINES,
     TraceStats,
     emit_spec,
     format_event,
@@ -39,15 +39,7 @@ from .fileformat import (
 )
 from .model import annotate as annotate_node, prune, validate
 
-log = logging.getLogger("rvaft")
-
-_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
-               "info": logging.INFO, "debug": logging.DEBUG}
-
-
-def _setup_logging():
-    level = _LOG_LEVELS.get(os.environ.get("RVAFT_LOG", "warn").lower(), logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+log = Log("rvaft")
 
 
 def _load_tree(path):
@@ -117,8 +109,9 @@ def cmd_compile(args):
 
 
 def _events_from_tcp(port, stats, fields):
-    """Minimal live-stream contract: one JSONL connection at a time. Port 0
-    asks the system for a free port; the address logged is the bound one."""
+    """Minimal live-stream contract: one JSONL connection at a time, read as
+    ``read_trace`` reads a socket, one line per block. Port 0 asks the
+    system for a free port; the address logged is the bound one."""
     import socket
 
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
@@ -132,20 +125,18 @@ def _events_from_tcp(port, stats, fields):
             yield from read_trace(fh, stats, fields)
 
 
-# Verdict lines a replay joins into one write. Where stdout is unbuffered
-# (PYTHONUNBUFFERED), every write is a system call.
-REPLAY_BATCH_LINES = 1000
-
-
 class _VerdictWriter:
     """Writes one runner's verdict lines to ``out``, numbering them from 0.
 
-    On live input (stdin, ``--listen``) every line is final once its event is
-    stepped, and is written and flushed on its own: the end of a live input
-    only means that the feed stopped, so it closes nothing. A replay
-    (``--trace``) writes ``REPLAY_BATCH_LINES`` lines per write and flush,
-    and keeps its newest line pending until the next event or the end of the
-    input, where ``close`` lets the closing state from
+    ``push`` takes the states of one block of events, as ``read_trace``
+    yields them, and builds each line with ``verdict_record_line``. On live
+    input (stdin, ``--listen``) every line is final once its event is
+    stepped, and a block's lines are written and flushed at once: the end of
+    a live input only means that the feed stopped, so it closes nothing. A
+    replay (``--trace``) joins ``REPLAY_BATCH_LINES`` lines into each write
+    and flush (where stdout is unbuffered, PYTHONUNBUFFERED, every write is
+    a system call), and keeps its newest line pending until the next event
+    or the end of the input, where ``close`` lets the closing state from
     ``TraceRunner.finish`` replace it.
 
     A line's body (everything after ``event_index``) is built from a state
@@ -161,19 +152,21 @@ class _VerdictWriter:
         self.state = self.body = None  # the newest state and its body
         self.pending = []
 
-    def push(self, state):
-        if state is not self.state:
-            self.state = state
-            self.body = verdict_record_body(state)
-        line = verdict_record_line(self.index, self.body) + "\n"
-        self.index += 1
+    def push(self, states):
+        lines = self.pending if self.replay else []
+        index, state, body = self.index, self.state, self.body
+        for new in states:
+            if new is not state:  # a run of one state object shares its body
+                state, body = new, verdict_record_body(new)
+            lines.append(verdict_record_line(index, body) + "\n")
+            index += 1
+        self.index, self.state, self.body = index, state, body
         if not self.replay:
-            self.out.write(line)
-            self.out.flush()
+            self._write(lines)
             return
-        if len(self.pending) >= REPLAY_BATCH_LINES:
-            self._drain()
-        self.pending.append(line)
+        while len(lines) > REPLAY_BATCH_LINES:
+            self._write(lines[:REPLAY_BATCH_LINES])
+            del lines[:REPLAY_BATCH_LINES]
 
     def close(self, state=None):
         """Write every pending line. A closing ``state`` other than the
@@ -183,12 +176,12 @@ class _VerdictWriter:
             self.pending[-1] = verdict_record_line(
                 self.index - 1, verdict_record_body(state)) + "\n"
         if self.pending:
-            self._drain()
+            self._write(self.pending)
+            self.pending.clear()
 
-    def _drain(self):
-        self.out.write("".join(self.pending))
+    def _write(self, lines):
+        self.out.write("".join(lines))
         self.out.flush()
-        self.pending.clear()
 
 
 def _property_path(path, which):
@@ -201,11 +194,13 @@ def _property_path(path, which):
 
 
 def cmd_run(args):
-    """One pass over the input: each event goes to every selected runner,
-    and each verdict line is written as soon as it is final. A replay
-    (``--trace``) ends with the mission, so its end closes an undecided
-    monitor to violated; live input (stdin, ``--listen``) is written and
-    flushed line by line, and its end closes nothing."""
+    """One pass over the input, a block of events at a time as
+    ``read_trace`` yields them: each selected runner steps the whole block,
+    and then its writer takes the block's states. A replay (``--trace``)
+    ends with the mission, so its end closes an undecided monitor to
+    violated; live input (stdin, ``--listen``) is written and flushed block
+    by block, one line per block unless stdin is a regular file, and its end
+    closes nothing."""
     tree = _load_tree(args.tree)
     spec = compile_tree(tree, do_merge=True)
     if args.property == "all":
@@ -244,11 +239,13 @@ def cmd_run(args):
         steps = [(runner.feed, writer.push) for runner, writer in zip(runners, writers)]
         gc.freeze()
         try:
-            for event in events:
+            for block in events:
                 for feed, push in steps:
-                    push(feed(event))
+                    # The runner steps the whole block before its lines go
+                    # to the writer.
+                    push(list(map(feed, block)))
         except KeyboardInterrupt:
-            # Every line of an event read so far goes out; a replay's newest
+            # Every line of a block stepped so far goes out; a replay's newest
             # line stays as it stood, since the input did not end.
             for writer in writers:
                 writer.close()
@@ -371,7 +368,7 @@ def build_parser():
 
 def main(argv=None):
     try:
-        _setup_logging()
+        configure_log()
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (RvaftError, OSError, ValueError, json.JSONDecodeError) as exc:

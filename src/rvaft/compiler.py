@@ -12,10 +12,9 @@ the union sits above the gate, as it does between separate branches.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import replace
 
-from .errors import InvalidKError, UnclassifiedBranchError
+from .errors import InvalidKError, Log, UnclassifiedBranchError
 from .model import ATTACK, FAULT, NEUTRAL, validate
 from .terms import (
     Atom,
@@ -28,7 +27,7 @@ from .terms import (
     term_topics,
 )
 
-log = logging.getLogger(__name__)
+log = Log(__name__)
 
 
 # ---------------------------------------------------------------------------

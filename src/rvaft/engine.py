@@ -353,15 +353,15 @@ class TraceRunner:
         return state
 
     def finish(self):
-        """The closing state of a completed trace. An empty trace closes to
-        unknown. A still-undecided monitor over a nonempty trace never
+        """The closing state of a completed trace. A decided monitor closes
+        to its current state, even before any event. An undecided one
+        closes an empty trace to unknown. Over a nonempty trace it never
         exhibited the fault/attack, so the trace closes to violated: no
         branch is live, and the bindings stay those held when the input
-        ended. Otherwise this is the current state. The monitor's own
-        verdict is left untouched."""
+        ended. The monitor's own verdict is left untouched."""
         state = self.state
-        if state is self._start:
-            return VerdictState(_UNKNOWN, self.which)
         if state.verdict is not _UNKNOWN:
             return state
+        if state is self._start:
+            return VerdictState(_UNKNOWN, self.which)
         return VerdictState(_VIOLATED, self.which, (), state.bindings, state.skipped)

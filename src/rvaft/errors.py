@@ -1,4 +1,57 @@
-"""Exception types shared across the package."""
+"""Exception types and the log shared across the package."""
+
+import os
+import sys
+
+# The levels of the ``logging`` module, which is imported only for a message
+# that passes the threshold: importing it costs a few milliseconds per run.
+_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}
+_WARNING = _LEVELS["warn"]
+_FORMAT = "%(levelname)s %(name)s: %(message)s"
+
+# Until ``logging`` is imported nothing can have configured it, so its root
+# logger drops a message below WARNING; ``configure_log`` sets the level of
+# ``RVAFT_LOG`` instead, for the ``logging.basicConfig`` made at the first
+# message that passes it.
+_threshold = _WARNING
+_pending_config = None
+
+
+def configure_log():
+    """The command line's log setup: messages at or above ``RVAFT_LOG``'s
+    level (``error``, ``warn``, ``info`` or ``debug``; ``warn`` by default)
+    go to stderr as ``LEVEL logger: message``."""
+    global _threshold, _pending_config
+    _threshold = _LEVELS.get(os.environ.get("RVAFT_LOG", "warn").lower(), _WARNING)
+    _pending_config = _threshold
+
+
+class Log:
+    """The ``info`` and ``warning`` of a ``logging`` logger named ``name``,
+    which import ``logging`` only for a message that it would not drop."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def info(self, msg, *args):
+        self._emit(_LEVELS["info"], msg, args)
+
+    def warning(self, msg, *args):
+        self._emit(_WARNING, msg, args)
+
+    def _emit(self, level, msg, args):
+        global _pending_config
+        logging = sys.modules.get("logging")
+        if logging is None:
+            if level < _threshold:
+                return
+            import logging
+        if _pending_config is not None:
+            logging.basicConfig(level=_pending_config, format=_FORMAT)
+            _pending_config = None
+        logging.getLogger(self.name).log(level, msg, *args)
 
 
 class RvaftError(Exception):

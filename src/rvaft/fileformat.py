@@ -10,12 +10,14 @@ variables).
 from __future__ import annotations
 
 import io
+import itertools
 import json
-import logging
+import os
 import re
+import stat
 import sys
 
-from .errors import GuardParseError, SchemaError, TreeParseError
+from .errors import GuardParseError, Log, SchemaError, TreeParseError
 from .model import GATE_KINDS, NODE_CLASSES, GateSpec, RvaftNode, RvaftTree
 from .record import Record
 from .terms import (
@@ -38,7 +40,7 @@ from .terms import (
     term_bind_vars,
 )
 
-log = logging.getLogger(__name__)
+log = Log(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +428,17 @@ class TraceStats(Record):
 _SHORT_LINE = 300
 _EXPONENT = re.compile(r"e[-+0-9]")
 
+# Lines of a replay read and decoded as one block, and verdict lines joined
+# into one write.
+REPLAY_BATCH_LINES = 1000
+
 
 def _refuse_constant(name):
     raise ValueError(f"not a finite number: {name}")
 
 
+# Strict, as a JSONDecoder is by default: a string holding a raw control
+# character, a newline among them, fails the parse.
 _FIELD_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
@@ -446,20 +454,20 @@ def _field_table(fields):
     return table
 
 
-def _field_event(line, table):
-    """The event of a short line without an exponent: its canonical topic
-    plus the keys that ``table`` lists for its spelling. None when the line
-    is malformed, so that reading it in full names the fault."""
+def _field_event(raw, table):
+    """The event of a value that ``_FIELD_DECODER`` decoded from a short
+    line without an exponent: its canonical topic plus the keys that
+    ``table`` lists for its spelling. None when the line is malformed, so
+    that reading it in full names the fault."""
+    topic = raw.get("topic") if isinstance(raw, dict) else None
+    if not isinstance(topic, str):
+        return None
+    entry = table.get(topic)
+    if entry is None:
+        return {"topic": canonical_topic(topic)}
+    topic, keys = entry
+    event = {"topic": topic}
     try:
-        raw, end = _FIELD_DECODER.raw_decode(line)  # the line starts with no space
-        topic = raw.get("topic") if end == len(line) and isinstance(raw, dict) else None
-        if not isinstance(topic, str):
-            return None
-        entry = table.get(topic)
-        if entry is None:
-            return {"topic": canonical_topic(topic)}
-        topic, keys = entry
-        event = {"topic": topic}
         for key in keys:
             if key in raw:
                 # What normalize_value does, without a call for the common
@@ -471,57 +479,145 @@ def _field_event(line, table):
                 elif kind is not str and kind is not float:
                     value = normalize_value(value)
                 event[key] = value
-        return event
-    except (ValueError, TypeError, RecursionError):
+    except (ValueError, TypeError):
         return None
+    return event
+
+
+def _block_events(lines, table):
+    """The events of stripped, non-blank ``lines``, decoded at once as the
+    JSON array of the lines joined by a comma and a newline; None where that
+    could differ from reading the lines one at a time, or where some line is
+    malformed.
+
+    The array is decoded only when every line starts with ``{`` and ends
+    with ``}``, no line holds ``[`` or ``]``, and every line is one that the
+    line reader decodes with the same decoder (short, no exponent); its
+    events are taken only when it has one element per line. Then each
+    element is its line's value. A string cannot run past its line, since
+    the strict decoder refuses the separator's newline in it. An array
+    cannot, since no line holds a bracket. An object cannot either: in an
+    open object the next line's ``{`` comes where a key or ``}`` must. So
+    each line gives one or more whole elements, and with as many elements
+    as lines, exactly one."""
+    joined = ",\n".join(lines)
+    # No line holds a newline, so the only "},\n{" are separators flanked
+    # by a line's last "}" and the next line's first "{".
+    if (joined[:1] != "{" or joined[-1:] != "}"
+            or joined.count("},\n{") != len(lines) - 1
+            or max(map(len, lines)) > _SHORT_LINE
+            or "[" in joined or "]" in joined or "E" in joined
+            or _EXPONENT.search(joined)):
+        return None
+    try:
+        raws = _FIELD_DECODER.decode("[" + joined + "]")
+    except ValueError:
+        return None
+    if len(raws) != len(lines):
+        return None
+    events = []
+    for raw in raws:
+        event = _field_event(raw, table)
+        if event is None:
+            return None
+        events.append(event)
+    return events
+
+
+def _line_blocks(stream):
+    """The stripped, non-blank lines of ``stream`` in lists: a block of up
+    to ``REPLAY_BATCH_LINES`` lines from a regular file (a ``--trace``
+    replay, or stdin redirected from one), where reading never waits for
+    more input, else one line each."""
+    try:
+        whole = stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
+    except (AttributeError, OSError, ValueError):  # no file descriptor, or closed
+        whole = False
+    if not whole:
+        for line in stream:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8", "replace")
+            line = line.strip()
+            if line:
+                yield [line]
+        return
+    stream = iter(stream)
+    while raw_lines := list(itertools.islice(stream, REPLAY_BATCH_LINES)):
+        if isinstance(raw_lines[0], bytes):
+            # No UTF-8 sequence holds the byte of a line end, so decoding
+            # the lines joined replaces just what decoding each would.
+            raw_lines = b"".join(raw_lines).decode("utf-8", "replace").split("\n")
+        lines = list(filter(None, map(str.strip, raw_lines)))
+        if lines:
+            yield lines
 
 
 def read_trace(stream, stats=None, fields=None):
-    """Yield events from a JSONL stream in order; malformed lines are counted
-    and skipped with a warning, never aborting the stream. A line is malformed
-    when it is not a JSON object with a string ``topic``, is nested too
-    deeply, or holds a number that is not a finite double (NaN, Infinity or
-    an overflowing literal).
+    """Yield the events of a JSONL stream in order, in lists: one per block
+    of up to ``REPLAY_BATCH_LINES`` lines from a regular file, one per line
+    from any other stream (a pipe, socket, terminal or in-memory text), so
+    that no line waits for a later one. A list is never empty. Malformed
+    lines are counted and skipped with a warning, never aborting the
+    stream. A line is malformed when it is not a JSON object with a string
+    ``topic``, is nested too deeply, or holds a number that is not a finite
+    double (NaN, Infinity or an overflowing literal).
 
     ``fields`` maps a topic to the keys that some monitor reads on it (see
     ``MonitorSpec.fields``). When given, an event holds its topic and only
-    those keys of that topic; which lines are malformed, and the warnings,
-    stay the same."""
+    those keys of that topic, and a block is decoded at once where
+    ``_block_events`` shows that this gives each line its own event, else
+    line by line. Whatever the stream, the events, which lines are
+    malformed, the warnings and ``stats`` are those of reading line by
+    line."""
     stats = stats if stats is not None else TraceStats()
     if isinstance(stream, (bytes, str)):
         stream = io.StringIO(
             stream.decode("utf-8") if isinstance(stream, bytes) else stream
         )
-    if fields is not None:
-        table = _field_table(fields)
-    for line in stream:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8", "replace")
-        line = line.strip()
-        if not line:
-            continue
-        stats.lines += 1
-        event = None
-        if (fields is not None and len(line) <= _SHORT_LINE
-                and not _EXPONENT.search(line) and "E" not in line):
-            event = _field_event(line, table)
-        if event is None:
-            try:
-                raw = json.loads(line)
-                if not isinstance(raw, dict) or not isinstance(raw.get("topic"), str):
-                    raise ValueError("record needs a string 'topic'")
-                event = normalize_event(raw)
-                topic = event["topic"]
-                event["topic"] = canonical_topic(topic)
-            except (ValueError, TypeError, RecursionError) as exc:
-                stats.malformed += 1
-                log.warning("skipping malformed trace line %d: %s", stats.lines, exc)
+    table = None if fields is None else _field_table(fields)
+    for lines in _line_blocks(stream):
+        if table is not None and len(lines) > 1:
+            events = _block_events(lines, table)
+            if events is not None:
+                stats.lines += len(lines)
+                stats.events += len(events)
+                yield events
                 continue
-            if fields is not None:
-                _, read = table.get(topic, (None, ()))
-                event = {k: v for k, v in event.items() if k == "topic" or k in read}
-        stats.events += 1
-        yield event
+        events = []
+        # Line by line in this frame, with no call between it and the full
+        # reading: how deep a too-deep line gets before the stack runs out,
+        # and so its warning, stays as it was.
+        for line in lines:
+            stats.lines += 1
+            event = None
+            if (table is not None and len(line) <= _SHORT_LINE
+                    and not _EXPONENT.search(line) and "E" not in line):
+                try:
+                    raw, end = _FIELD_DECODER.raw_decode(line)  # the line starts with no space
+                except (ValueError, RecursionError):
+                    pass
+                else:
+                    if end == len(line):
+                        event = _field_event(raw, table)
+            if event is None:
+                try:
+                    raw = json.loads(line)
+                    if not isinstance(raw, dict) or not isinstance(raw.get("topic"), str):
+                        raise ValueError("record needs a string 'topic'")
+                    event = normalize_event(raw)
+                    topic = event["topic"]
+                    event["topic"] = canonical_topic(topic)
+                except (ValueError, TypeError, RecursionError) as exc:
+                    stats.malformed += 1
+                    log.warning("skipping malformed trace line %d: %s", stats.lines, exc)
+                    continue
+                if table is not None:
+                    _, read = table.get(topic, (None, ()))
+                    event = {k: v for k, v in event.items() if k == "topic" or k in read}
+            stats.events += 1
+            events.append(event)
+        if events:
+            yield events
 
 
 def format_event(event):

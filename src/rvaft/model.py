@@ -7,13 +7,12 @@ runtime-ready. All operations return new trees; values are never mutated.
 
 from __future__ import annotations
 
-import logging
 import re
 
-from .errors import RootAnnotationError, RootRemovalError, UnknownNodeError
+from .errors import Log, RootAnnotationError, RootRemovalError, UnknownNodeError
 from .record import Record
 
-log = logging.getLogger(__name__)
+log = Log(__name__)
 
 NODE_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*$")
 

@@ -244,6 +244,36 @@ def test_run_empty_stdin_is_unknown(tree_path, monkeypatch, capsys):
     assert "verdict=?" in capsys.readouterr().err
 
 
+def test_an_empty_replay_of_a_tree_that_holds_at_the_start_reports_it(tmp_path, monkeypatch,
+                                                                      capsys):
+    """In `OR(g, a)` with `g` guard-only and always true, the merged monitor
+    holds before any event. An empty replay closes to that verdict, as the
+    same empty input on stdin and a one-event replay report it; it writes
+    no line."""
+    doc = {
+        "name": "holds", "root": "r",
+        "nodes": {
+            "r": {"gate": {"kind": "OR", "children": ["g", "a"]}},
+            "g": {"class": "fault", "event": {"name": "g", "guard": "1 < 2"}},
+            "a": {"class": "fault", "event": {"name": "a", "pattern": {"topic": "a"}}},
+        },
+    }
+    tree = tmp_path / "holds.rvaft.json"
+    tree.write_text(json.dumps(doc))
+    empty, one = tmp_path / "empty.jsonl", tmp_path / "one.jsonl"
+    empty.write_text("")
+    one.write_text('{"topic": "b"}\n')
+    detected = "merged: verdict=⊤ detected=fault branches=phi1\n"
+    for trace in (empty, one):
+        assert main(["run", str(tree), "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(detected)
+        assert len(captured.out.splitlines()) == (trace is one)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["run", str(tree)]) == 2
+    assert capsys.readouterr() == ("", "trace: lines=0 events=0 malformed=0\n" + detected)
+
+
 def test_run_noisy_trace_still_detects(tree_path, tmp_path):
     trace = tmp_path / "noisy.trace.jsonl"
     main(["simulate", "fault-moving", "bad", "--noise", "5", "-o", str(trace)])
@@ -516,6 +546,22 @@ def test_listen_writes_each_line_before_the_next_event_and_leaves_the_end_open(t
     assert err.decode().endswith("\nmerged: verdict=?\n")
 
 
+def _interrupted_after(read_trace, read):
+    """``read_trace`` interrupted when it reads the event after the first
+    ``read``: its blocks, the last cut after that many events, then a
+    KeyboardInterrupt."""
+    def interrupted(*args):
+        left = read
+        for block in read_trace(*args):
+            if not left:
+                raise KeyboardInterrupt
+            yield block[:left]
+            if len(block) > left:
+                raise KeyboardInterrupt
+            left -= len(block)
+    return interrupted
+
+
 @pytest.mark.parametrize("read", [0, 1, 7, 20])
 def test_an_interrupt_writes_the_line_of_every_event_read(tree_path, tmp_path, monkeypatch,
                                                           capsys, read):
@@ -527,15 +573,7 @@ def test_an_interrupt_writes_the_line_of_every_event_read(tree_path, tmp_path, m
     whole = tmp_path / "whole.verdicts.jsonl"
     assert main(["run", tree_path, "--trace", str(trace), "-o", str(whole)]) == 0
     capsys.readouterr()
-    read_trace = cli.read_trace
-
-    def interrupted(*args):
-        for i, event in enumerate(read_trace(*args)):
-            if i == read:
-                raise KeyboardInterrupt
-            yield event
-
-    monkeypatch.setattr(cli, "read_trace", interrupted)
+    monkeypatch.setattr(cli, "read_trace", _interrupted_after(cli.read_trace, read))
     out = tmp_path / "out.verdicts.jsonl"
     assert main(["run", tree_path, "--trace", str(trace), "-o", str(out)]) == 130
     assert capsys.readouterr().err == "interrupted\n"
@@ -654,15 +692,7 @@ def test_an_interrupt_at_the_batch_boundary_leaves_the_newest_line_as_it_stood(
     whole = _TextStdout()
     monkeypatch.setattr("sys.stdout", whole)
     assert main(["run", tree_path, "--trace", str(trace)]) == 0
-    read_trace = cli.read_trace
-
-    def interrupted(*args):
-        for i, event in enumerate(read_trace(*args)):
-            if i == read:
-                raise KeyboardInterrupt
-            yield event
-
-    monkeypatch.setattr(cli, "read_trace", interrupted)
+    monkeypatch.setattr(cli, "read_trace", _interrupted_after(cli.read_trace, read))
     out = _TextStdout()
     monkeypatch.setattr("sys.stdout", out)
     capsys.readouterr()
@@ -731,8 +761,10 @@ def test_writer_output_equals_a_line_built_afresh_per_record(replay, monkeypatch
     and builds a line's body again only for a state that is not the
     previous state object: also for equal bindings in a fresh object, and
     for the closing state that replaces a replay's newest `?` line with
-    `bottom`. A live writer keeps nothing pending: when a push returns, that
-    state's line is out, and the last `?` line stays as written."""
+    `bottom`. States come in blocks, and a run of one state object may
+    cross a block's end. A live writer keeps nothing pending: when a push
+    returns, that block's lines are out, and the last `?` line stays as
+    written."""
     built = []
 
     def counted_body(state):
@@ -745,13 +777,16 @@ def test_writer_output_equals_a_line_built_afresh_per_record(replay, monkeypatch
         out = io.StringIO()
         writer = cli._VerdictWriter(out, replay)
         built.clear()
-        written = 0
-        for i, state in enumerate(states):
-            writer.push(state)
+        written = i = 0
+        rng = random.Random(seed)
+        while i < len(states):  # seeded blocks, as read_trace yields them
+            block = states[i:i + rng.choice([1, 1, 2, 7, 50])]
+            writer.push(block)
             if not replay:
-                line = _line(i, state)
-                assert out.getvalue()[written:] == line
-                written += len(line)
+                lines = "".join(_line(i + j, state) for j, state in enumerate(block))
+                assert out.getvalue()[written:] == lines
+                written += len(lines)
+            i += len(block)
         last = states[-1]
         # what TraceRunner.finish returns on a replay; the runner's state live
         closing = (VerdictState(Verdict.VIOLATED, last.property, (), last.bindings,
@@ -786,15 +821,31 @@ def test_stdin_writes_and_flushes_each_line_as_it_is_final(tree_path, monkeypatc
     assert capsys.readouterr().err.endswith("\nmerged: verdict=?\n")
 
 
-def test_cli_import_leaves_out_what_a_run_does_not_use():
+def test_cli_import_leaves_out_what_a_run_does_not_use(tmp_path):
     """Importing the command line loads neither the TCP stack, which only
-    --listen needs, nor statistics."""
+    --listen needs, nor statistics, nor logging, which only a message that
+    passes RVAFT_LOG's level needs. A run over a clean trace loads no
+    logging either; a malformed line's warning does."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "RVAFT_LOG"}
+    env["PYTHONPATH"] = src
     check = ("import rvaft.cli, sys; "
-             "print(sorted({'socket', 'statistics'} & set(sys.modules)))")
+             "print(sorted({'socket', 'statistics', 'logging'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+                         env=env, check=True).stdout
     assert out.strip() == "[]"
+    trace = tmp_path / "t.trace.jsonl"
+    run = ("import sys; from rvaft import cli; code = cli.main(sys.argv[1:]); "
+           "print(code, 'logging' in sys.modules, file=sys.stderr)")
+    tree = str(CASES / "remote_inspection.rvaft.json")
+    for lines, loaded in ((['{"topic": "/odom", "time": 1.0}'], "False"),
+                          (['{"topic": "/odom", "time": 1.0}', '{"topic": '], "True")):
+        trace.write_text("\n".join(lines) + "\n")
+        err = subprocess.run([sys.executable, "-c", run, "run", tree, "--trace", str(trace)],
+                             capture_output=True, text=True, env=env, check=True).stderr
+        assert err.splitlines()[-1] == f"0 {loaded}", err
+        assert ("WARNING rvaft.fileformat: skipping malformed trace line 2" in err) == (
+            loaded == "True")
 
 
 def test_cli_import_leaves_out_what_only_simulate_uses():

@@ -1,7 +1,12 @@
+import contextlib
 import io
 import json
 import logging
+import os
+import tempfile
+import threading
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import CASES
 
 from rvaft.casestudy import tree_document
+from rvaft import fileformat
 from rvaft.compiler import compile_tree
 from rvaft.errors import SchemaError, TreeParseError
 from rvaft.fileformat import (
@@ -149,6 +155,48 @@ def test_tree_round_trip(doc):
 # Traces
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _stream(kind, text):
+    """``text`` as a binary stream: a regular file, which ``read_trace``
+    reads in blocks, or the read end of a pipe, which it reads a line at a
+    time."""
+    data = text.encode("utf-8", "surrogateescape")
+    if kind == "file":
+        with tempfile.TemporaryFile() as fh:
+            fh.write(data)
+            fh.seek(0)
+            yield fh
+        return
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+
+    # A pipe holds 64 KiB on Linux; longer text is written from a thread.
+    writer = threading.Thread(target=write) if len(data) > 16384 else None
+    if writer is None:
+        write()
+    else:
+        writer.start()
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            yield fh
+    finally:
+        if writer is not None:
+            writer.join()
+
+
+STREAMS = ("file", "pipe")
+
+
+def _events(kind, text, stats=None, fields=None):
+    """The events ``read_trace`` yields from ``text`` read as ``kind``, out
+    of their blocks."""
+    with _stream(kind, text) as stream:
+        return [event for block in read_trace(stream, stats, fields) for event in block]
+
+
 def test_read_trace_order_and_normalization():
     lines = "\n".join(
         [
@@ -156,17 +204,20 @@ def test_read_trace_order_and_normalization():
             '{"topic": "/command", "time": 15.6, "name": "inspect", "waypoint": 0}',
         ]
     )
-    events = list(read_trace(io.StringIO(lines)))
-    assert [e["topic"] for e in events] == ["command", "command"]
-    assert events[0]["waypoint"] == 0.0
+    for kind in STREAMS:
+        events = _events(kind, lines)
+        assert [e["topic"] for e in events] == ["command", "command"]
+        assert events[0]["waypoint"] == 0.0
 
 
 def test_read_trace_empty_stream():
-    assert list(read_trace(io.StringIO(""))) == []
+    for kind in STREAMS:
+        assert _events(kind, "") == []
+        with _stream(kind, "\n \n\r\n") as stream:
+            assert list(read_trace(stream, fields={})) == []
 
 
 def test_read_trace_skips_garbage_with_counter():
-    stats = TraceStats()
     lines = "\n".join(
         [
             '{"topic": "a", "x": 1}',
@@ -177,10 +228,12 @@ def test_read_trace_skips_garbage_with_counter():
             '{"topic": "d", "v": ' + "[" * 100_000 + "]" * 100_000 + "}",
         ]
     )
-    events = list(read_trace(io.StringIO(lines), stats))
-    assert len(events) == 3
-    assert stats.malformed == 3
-    assert stats.events == 3
+    for kind in STREAMS:
+        stats = TraceStats()
+        events = _events(kind, lines, stats)
+        assert len(events) == 3
+        assert stats.malformed == 3
+        assert stats.events == 3
 
 
 NON_FINITE = pytest.mark.parametrize(
@@ -191,15 +244,18 @@ NON_FINITE = pytest.mark.parametrize(
 
 @NON_FINITE
 def test_read_trace_skips_non_finite_numbers(literal):
-    stats = TraceStats()
     lines = [
         '{"topic": "a", "v": 1}',
         '{"topic": "b", "v": %s}' % literal,
         '{"topic": "c", "pose": {"x": [0, %s]}}' % literal,
+        '{"topic": "c", "v": %s}' % literal,
     ]
-    events = list(read_trace(io.StringIO("\n".join(lines)), stats))
-    assert [e["topic"] for e in events] == ["a"]
-    assert (stats.events, stats.malformed) == (1, 2)
+    for kind in STREAMS:
+        for fields in (None, {"a": {"v"}, "b": {"v"}, "c": {"pose"}}):
+            stats = TraceStats()
+            events = _events(kind, "\n".join(lines), stats, fields)
+            assert [e["topic"] for e in events] == ["a"], (kind, fields)
+            assert (stats.events, stats.malformed) == (1, 3), (kind, fields)
 
 
 @NON_FINITE
@@ -258,12 +314,12 @@ class _Warnings(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-def _read(lines, fields=None):
+def _read(lines, fields=None, kind="pipe"):
     stats, warnings = TraceStats(), _Warnings()
     logger = logging.getLogger("rvaft.fileformat")
     logger.addHandler(warnings)
     try:
-        events = list(read_trace(io.StringIO("\n".join(lines)), stats, fields))
+        events = _events(kind, "\n".join(lines), stats, fields)
     finally:
         logger.removeHandler(warnings)
     return events, stats, warnings.messages
@@ -288,15 +344,122 @@ def _typed(value):
 def test_read_trace_with_fields_keeps_only_the_read_keys(lines, fields):
     """Each event read with ``fields`` is the topic plus the ``fields[topic]``
     keys of the event read in full, with values of the same types; the
-    counts and warnings are the same."""
+    counts and warnings are the same, from a file and from a pipe."""
     full, full_stats, full_warnings = _read(lines)
-    picked, stats, warnings = _read(lines, fields)
     expected = [
         {k: v for k, v in event.items() if k == "topic" or k in fields.get(event["topic"], ())}
         for event in full
     ]
-    assert [_typed(e) for e in picked] == [_typed(e) for e in expected]
-    assert (stats, warnings) == (full_stats, full_warnings)
+    for kind in STREAMS:
+        picked, stats, warnings = _read(lines, fields, kind)
+        assert [_typed(e) for e in picked] == [_typed(e) for e in expected], kind
+        assert (stats, warnings) == (full_stats, full_warnings), kind
+
+
+# Lines that a block read could join into other values than the lines read
+# one at a time give: strings, objects and arrays left open or closed early,
+# two objects on one line, exponents, carriage returns, a raw control
+# character in a string and constants that are not finite.
+_PIECES = [
+    '{"topic":"a","v":1}', '{"topic":"/a","w":"x"}', '{"topic":"a","k":"', '"}',
+    '{"},{"topic":"b"}', '{"topic":"a","v":1', '"k":"x"}', '{"topic":"b"},{"topic":"c"}',
+    '{"topic":"a","v":[{}', '{}]}', '{"topic":"a","v":1e400}',
+]
+_ODDITIES = [
+    '[{"topic":"a"}]', '{"topic":"a","v":[1,2]}', '{"topic":"a","v":1e5}',
+    '{"topic":"a","v":1E400}', '{"topic":"a","v":-2e-3}', '{"topic":"a","v":NaN}',
+    '{"topic":"a",\r"v":3}', '{"topic":"a","s":"x\ry"}', '{"topic":"a","s":"x\ty"}',
+    '{"v":1}', '{"topic":5}', '{"topic":"a","p":{"q":{}}}', '{', '}', ',', '"', ' ', '\r', '',
+]
+# Lines that are whole objects, and objects to cut into lines at a comma.
+_OBJECTS = [
+    '{"topic":"a","v":1,"k":"x"}', '{"topic":"/a","w":"x"}', '{"topic":"b","v":2.5}',
+    '{"topic":"a","k":"},{"}', '{"topic":"a","v":[{},{}]}', '{"topic":"a","p":{"q":{}}}',
+    '{"topic":"a","v":1e400}', '{"topic":"c"}',
+]
+_BLOCK_FIELDS = {"a": frozenset({"v", "w", "k", "s", "p"}), "b": frozenset({"v"})}
+
+
+@st.composite
+def _cut_lines(draw):
+    """Objects written one after another, each followed by a newline or a
+    comma, with some commas turned into line ends and maybe one more line
+    end put anywhere: whole lines, and values that run from one line into
+    the next."""
+    text = "".join(draw(st.sampled_from(_OBJECTS)) + draw(st.sampled_from(["\n", ","]))
+                   for _ in range(draw(st.integers(1, 6))))
+    commas = [at for at, char in enumerate(text) if char == ","]
+    for at in draw(st.lists(st.sampled_from(commas), max_size=3)) if commas else ():
+        text = text[:at] + "\n" + text[at + 1:]
+    at = draw(st.integers(0, len(text)))
+    return (text[:at] + draw(st.sampled_from(["", "\n"])) + text[at:]).split("\n")
+
+
+def _block_and_line_reads(lines, fields=_BLOCK_FIELDS):
+    """``lines`` read from a file, in blocks, and through a pipe, a line at
+    a time: the events with their types, stats and warnings of each."""
+    reads = []
+    for kind in STREAMS:
+        events, stats, warnings = _read(lines, fields, kind)
+        reads.append(([_typed(event) for event in events], stats, warnings))
+    return reads
+
+
+@given(st.one_of(_cut_lines(),
+                 st.lists(st.sampled_from(_PIECES), max_size=4),
+                 st.lists(st.one_of(_lines(),
+                                    st.lists(st.sampled_from(_PIECES + _ODDITIES), min_size=1,
+                                             max_size=3).map("".join)),
+                          max_size=12)),
+       st.sampled_from([2, 3, fileformat.REPLAY_BATCH_LINES]))
+@settings(max_examples=300, deadline=None)
+def test_a_block_read_gives_what_a_line_read_gives(lines, block_lines):
+    """A trace read from a regular file, whose lines are decoded a block at
+    a time where ``_block_events`` allows, gives the events, stats and
+    warnings that reading it a line at a time from a pipe gives."""
+    with mock.patch.object(fileformat, "REPLAY_BATCH_LINES", block_lines):
+        from_file, from_pipe = _block_and_line_reads(lines)
+    assert from_file == from_pipe
+
+
+# Lines that decode as one array into one element per line, each line
+# malformed alone; each is refused by one rule of ``_block_events`` only.
+@pytest.mark.parametrize("lines, malformed", [
+    # A string left open runs into the next line, unless the separator's
+    # newline fails it.
+    (['{"topic":"a","k":"}', '{"},{"topic":"b"}'], 2),
+    # An object left open takes the next line's members, unless every line
+    # must start with "{" and end with "}".
+    (['{"topic":"a","v":1', '"k":"x"}', '{"topic":"b"},{"topic":"c"}'], 3),
+    # An array left open takes the next line's objects, unless no line may
+    # hold a bracket.
+    (['{"topic":"a","v":[{}', '{}]}', '{"topic":"b"},{"topic":"c"}'], 3),
+    # A number that overflows a double, unless a line with an exponent is
+    # read alone.
+    (['{"topic":"a","v":1e400}', '{"topic":"a","v":1}'], 1),
+    # Two objects on one line, unless there must be one element per line.
+    (['{"topic":"a","v":1}', '{"topic":"b"},{"topic":"c"}'], 1),
+], ids=["separator-newline", "braces", "brackets", "exponent", "one-per-line"])
+def test_a_block_read_refuses_lines_that_join_into_other_values(lines, malformed):
+    from_file, from_pipe = _block_and_line_reads(lines)
+    assert from_file == from_pipe
+    _, stats, warnings = from_pipe
+    assert (stats.lines, stats.malformed) == (len(lines), malformed) == (len(lines),
+                                                                           len(warnings))
+
+
+def test_read_trace_yields_a_block_per_file_read_and_a_list_per_line_otherwise(tmp_path):
+    """A regular file gives its events in blocks of up to
+    ``REPLAY_BATCH_LINES`` lines, a pipe and in-memory text one per line."""
+    n = fileformat.REPLAY_BATCH_LINES + 2
+    text = "".join('{"topic": "a", "v": %d}\n' % i for i in range(n)) + "\n"
+    with _stream("file", text) as stream:
+        blocks = list(read_trace(stream, fields=_BLOCK_FIELDS))
+    assert [len(block) for block in blocks] == [fileformat.REPLAY_BATCH_LINES, 2]
+    assert [e["v"] for block in blocks for e in block] == list(range(n))
+    with _stream("pipe", text) as stream:
+        assert list(map(len, read_trace(stream, fields=_BLOCK_FIELDS))) == [1] * n
+    assert list(map(len, read_trace(io.StringIO(text), fields=_BLOCK_FIELDS))) == [1] * n
 
 
 @pytest.mark.parametrize("topics", [{"a"}, {"/a"}, {"", "b"}, {"a", "/a", 5.0}],
@@ -320,7 +483,7 @@ def test_step_drops_exactly_the_topics_off_the_subscription(topics, wild):
 def test_format_event_round_trips_through_read_trace():
     ev = {"topic": "/command", "time": 10.4, "waypoint": 0}
     line = format_event(ev)
-    [back] = list(read_trace(io.StringIO(line)))
+    [[back]] = list(read_trace(io.StringIO(line)))
     assert back["time"] == 10.4 and back["waypoint"] == 0.0
 
 
