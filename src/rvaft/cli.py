@@ -202,7 +202,7 @@ def cmd_run(args):
     by block, one line per block unless stdin is a regular file, and its end
     closes nothing."""
     tree = _load_tree(args.tree)
-    spec = compile_tree(tree, do_merge=True)
+    spec = compile_tree(tree, do_merge=args.property in ("merged", "all"))
     if args.property == "all":
         selectors = list(spec.property_ids()) + ["merged"]
         if not args.output or args.output == "-":

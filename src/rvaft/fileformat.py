@@ -31,6 +31,7 @@ from .terms import (
     NotOp,
     Seq,
     Shuffle,
+    TOO_DEEP,
     Union,
     Var,
     canonical_topic,
@@ -422,9 +423,9 @@ class TraceStats(Record):
 
 # A line this short, in which no "e" is followed by a digit or a sign and no
 # "E" appears, holds no exponent: it can hold neither a number too large for
-# a double (that takes 309 digits or an exponent) nor nesting deep enough to
-# exhaust the stack, so its only non-finite numbers are the constants that
-# the field reader's decoder refuses while it parses.
+# a double (that takes 309 digits or an exponent) nor nesting deeper than
+# normalize_value allows, so its only non-finite numbers are the constants
+# that the block decoder refuses while it parses.
 _SHORT_LINE = 300
 _EXPONENT = re.compile(r"e[-+0-9]")
 
@@ -455,11 +456,11 @@ def _field_table(fields):
 
 
 def _field_event(raw, table):
-    """The event of a value that ``_FIELD_DECODER`` decoded from a short
+    """The event of an object that ``_FIELD_DECODER`` decoded from a short
     line without an exponent: its canonical topic plus the keys that
     ``table`` lists for its spelling. None when the line is malformed, so
-    that reading it in full names the fault."""
-    topic = raw.get("topic") if isinstance(raw, dict) else None
+    that ``_line_event`` names the fault."""
+    topic = raw.get("topic")
     if not isinstance(topic, str):
         return None
     entry = table.get(topic)
@@ -487,19 +488,19 @@ def _field_event(raw, table):
 def _block_events(lines, table):
     """The events of stripped, non-blank ``lines``, decoded at once as the
     JSON array of the lines joined by a comma and a newline; None where that
-    could differ from reading the lines one at a time, or where some line is
-    malformed.
+    could differ from reading each line in full with ``_line_event``, or
+    where some line is malformed.
 
     The array is decoded only when every line starts with ``{`` and ends
-    with ``}``, no line holds ``[`` or ``]``, and every line is one that the
-    line reader decodes with the same decoder (short, no exponent); its
-    events are taken only when it has one element per line. Then each
-    element is its line's value. A string cannot run past its line, since
-    the strict decoder refuses the separator's newline in it. An array
-    cannot, since no line holds a bracket. An object cannot either: in an
-    open object the next line's ``{`` comes where a key or ``}`` must. So
-    each line gives one or more whole elements, and with as many elements
-    as lines, exactly one."""
+    with ``}``, no line holds ``[`` or ``]``, and every line is short with
+    no exponent, so that the decoder refuses every number that
+    ``_line_event`` refuses; its events are taken only when it has one
+    element per line. Then each element is its line's value. A string
+    cannot run past its line, since the strict decoder refuses the
+    separator's newline in it. An array cannot, since no line holds a
+    bracket. An object cannot either: in an open object the next line's
+    ``{`` comes where a key or ``}`` must. So each line gives one or more
+    whole elements, and with as many elements as lines, exactly one."""
     joined = ",\n".join(lines)
     # No line holds a newline, so the only "},\n{" are separators flanked
     # by a line's last "}" and the next line's first "{".
@@ -552,6 +553,25 @@ def _line_blocks(stream):
             yield lines
 
 
+def _line_event(line, table):
+    """The event of one line, decoded and normalized in full and, with a
+    field ``table``, cut to the keys read on its topic. Raises ValueError or
+    TypeError naming the fault of a malformed line."""
+    try:
+        raw = json.loads(line)
+    except RecursionError:  # deeper than the stack, so than normalize_value allows
+        raise ValueError(TOO_DEEP) from None
+    if not isinstance(raw, dict) or not isinstance(raw.get("topic"), str):
+        raise ValueError("record needs a string 'topic'")
+    event = normalize_event(raw)
+    topic = event["topic"]
+    event["topic"] = canonical_topic(topic)
+    if table is not None:
+        _, read = table.get(topic, (None, ()))
+        event = {k: v for k, v in event.items() if k == "topic" or k in read}
+    return event
+
+
 def read_trace(stream, stats=None, fields=None):
     """Yield the events of a JSONL stream in order, in lists: one per block
     of up to ``REPLAY_BATCH_LINES`` lines from a regular file, one per line
@@ -559,16 +579,15 @@ def read_trace(stream, stats=None, fields=None):
     that no line waits for a later one. A list is never empty. Malformed
     lines are counted and skipped with a warning, never aborting the
     stream. A line is malformed when it is not a JSON object with a string
-    ``topic``, is nested too deeply, or holds a number that is not a finite
-    double (NaN, Infinity or an overflowing literal).
+    ``topic``, is nested deeper than 256 levels, or holds a number that is
+    not a finite double (NaN, Infinity or an overflowing literal).
 
     ``fields`` maps a topic to the keys that some monitor reads on it (see
     ``MonitorSpec.fields``). When given, an event holds its topic and only
     those keys of that topic, and a block is decoded at once where
-    ``_block_events`` shows that this gives each line its own event, else
-    line by line. Whatever the stream, the events, which lines are
-    malformed, the warnings and ``stats`` are those of reading line by
-    line."""
+    ``_block_events`` proves that equal to reading each line in full with
+    ``_line_event``, as every other line is read. Either way, the events,
+    the malformed lines, the warnings and ``stats`` are the same."""
     stats = stats if stats is not None else TraceStats()
     if isinstance(stream, (bytes, str)):
         stream = io.StringIO(
@@ -576,46 +595,17 @@ def read_trace(stream, stats=None, fields=None):
         )
     table = None if fields is None else _field_table(fields)
     for lines in _line_blocks(stream):
-        if table is not None and len(lines) > 1:
-            events = _block_events(lines, table)
-            if events is not None:
-                stats.lines += len(lines)
-                stats.events += len(events)
-                yield events
-                continue
-        events = []
-        # Line by line in this frame, with no call between it and the full
-        # reading: how deep a too-deep line gets before the stack runs out,
-        # and so its warning, stays as it was.
-        for line in lines:
-            stats.lines += 1
-            event = None
-            if (table is not None and len(line) <= _SHORT_LINE
-                    and not _EXPONENT.search(line) and "E" not in line):
+        events = None if table is None else _block_events(lines, table)
+        if events is None:
+            events = []
+            for number, line in enumerate(lines, stats.lines + 1):
                 try:
-                    raw, end = _FIELD_DECODER.raw_decode(line)  # the line starts with no space
-                except (ValueError, RecursionError):
-                    pass
-                else:
-                    if end == len(line):
-                        event = _field_event(raw, table)
-            if event is None:
-                try:
-                    raw = json.loads(line)
-                    if not isinstance(raw, dict) or not isinstance(raw.get("topic"), str):
-                        raise ValueError("record needs a string 'topic'")
-                    event = normalize_event(raw)
-                    topic = event["topic"]
-                    event["topic"] = canonical_topic(topic)
-                except (ValueError, TypeError, RecursionError) as exc:
+                    events.append(_line_event(line, table))
+                except (ValueError, TypeError) as exc:
                     stats.malformed += 1
-                    log.warning("skipping malformed trace line %d: %s", stats.lines, exc)
-                    continue
-                if table is not None:
-                    _, read = table.get(topic, (None, ()))
-                    event = {k: v for k, v in event.items() if k == "topic" or k in read}
-            stats.events += 1
-            events.append(event)
+                    log.warning("skipping malformed trace line %d: %s", number, exc)
+        stats.lines += len(lines)
+        stats.events += len(events)
         if events:
             yield events
 

@@ -22,12 +22,19 @@ VAR_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _UNSET = object()
 
 
-def normalize_value(v):
+# The deepest nesting of containers in a value: well below the ~490 levels
+# at which an array (two frames a level) exhausts Python's default stack.
+MAX_NESTING = 256
+TOO_DEEP = f"nested deeper than {MAX_NESTING} levels"
+
+
+def normalize_value(v, depth=MAX_NESTING):
     """Canonicalise a JSON-ish value: all numbers become floats, containers recurse.
 
     A number must be a finite double: NaN, an infinity or an integer too large
     for a double raises ValueError. (A NaN time would make every ordered guard
-    over it false, and it has no JSON spelling in the verdict records.)
+    over it false, and it has no JSON spelling in the verdict records.) So
+    does nesting deeper than ``depth``, with a message that does not vary.
     """
     if isinstance(v, bool) or v is None:
         return v
@@ -41,10 +48,12 @@ def normalize_value(v):
         return f
     if isinstance(v, str):
         return v
-    if isinstance(v, dict):
-        return {k: normalize_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return tuple(normalize_value(x) for x in v)
+    if isinstance(v, (dict, list, tuple)):
+        if not depth:
+            raise ValueError(TOO_DEEP)
+        if isinstance(v, dict):
+            return {k: normalize_value(x, depth - 1) for k, x in v.items()}
+        return tuple(normalize_value(x, depth - 1) for x in v)
     raise TypeError(f"unsupported value: {v!r}")
 
 

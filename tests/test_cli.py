@@ -22,7 +22,10 @@ from rvaft import cli
 from rvaft.cli import main
 from rvaft.casestudy import OUTCOMES, SCENARIOS, pruned_tree
 from rvaft.engine import Verdict, VerdictState
+from rvaft.model import annotate
+from rvaft.terms import Bind, EventAnnotation
 from rvaft.fileformat import (
+    parse_guard,
     parse_tree,
     serialize_tree,
     verdict_record_body,
@@ -1112,6 +1115,57 @@ def test_respelling_every_topic_changes_nothing(scenario, outcome, tmp_path, cap
                 == _run_shipped(events, tmp_path / "plain.jsonl", which, capsys)), which
 
 
+def _shipped_documents():
+    """Both shipped trees as documents: the pruned tree, and the full tree
+    with its imagery vote and battery leaves annotated so that it runs."""
+    full = parse_tree((CASES / "full_inspection.rvaft.json").read_bytes())
+    for leaf, var in (("camera_blur", "CBlur"), ("barrel_missed", "CBarrel"),
+                      ("leak_missed", "CLeak")):
+        full = annotate(full, leaf, EventAnnotation(
+            leaf, (("topic", "imagery/report"), ("confidence", Bind(var))),
+            parse_guard(f"{var} < 0.5")))
+    full = annotate(full, "battery_dead", EventAnnotation(
+        "battery_dead", (("topic", "battery"), ("level", Bind("Level"))),
+        parse_guard("Level <= 0")))
+    return {"remote_inspection": json.loads((CASES / "remote_inspection.rvaft.json").read_text()),
+            "full_inspection": json.loads(serialize_tree(full))}
+
+
+def _run_all(document, trace, out_dir, capsys):
+    """Exit code, stderr and every verdict file of `rvaft run --property all`
+    of ``document`` over ``trace``."""
+    out_dir.mkdir()
+    tree = out_dir / "tree.rvaft.json"
+    tree.write_text(json.dumps(document))
+    capsys.readouterr()
+    code = main(["run", str(tree), "--trace", str(trace), "--property", "all",
+                 "-o", str(out_dir / "v.jsonl")])
+    return code, capsys.readouterr().err, {
+        p.name: p.read_bytes() for p in out_dir.iterdir() if p != tree}
+
+
+@pytest.mark.parametrize("name", ["remote_inspection", "full_inspection"])
+@pytest.mark.parametrize("outcome", OUTCOMES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_sand_rl_over_reversed_children_changes_nothing(scenario, outcome, name, tmp_path,
+                                                        capsys):
+    """ROADMAP law L6, on both shipped trees: with every `SAND_LR` gate
+    written as `SAND_RL` over its children reversed, every verdict file of
+    `--property all`, stderr and the exit code are the same."""
+    document = _shipped_documents()[name]
+    rewritten = json.loads(json.dumps(document))
+    gates = [node["gate"] for node in rewritten["nodes"].values()
+             if (node.get("gate") or {}).get("kind") == "SAND_LR"]
+    assert gates
+    for gate in gates:
+        gate["kind"], gate["children"] = "SAND_RL", gate["children"][::-1]
+    trace = tmp_path / "t.trace.jsonl"
+    main(["simulate", scenario, outcome, "--noise", "30",
+          "--seed", str(SCENARIOS.index(scenario)), "-o", str(trace)])
+    assert (_run_all(rewritten, trace, tmp_path / "rl", capsys)
+            == _run_all(document, trace, tmp_path / "lr", capsys))
+
+
 def test_run_rejects_non_runtime_ready_tree(full_tree_path, tmp_path, capsys):
     trace = tmp_path / "t.trace.jsonl"
     main(["simulate", "fault-moving", "bad", "-o", str(trace)])
@@ -1141,6 +1195,28 @@ def test_deep_tree_is_an_input_error(deep_tree_path, command, capsys, monkeypatc
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     assert main([command, deep_tree_path]) == 1
     assert capsys.readouterr().err == "error: input is nested too deeply\n"
+
+
+@pytest.mark.parametrize("kind", ["AND", "VOT"])
+def test_a_branch_runs_without_building_the_merged_term(kind, tmp_path, monkeypatch, capsys):
+    """An AND, or a 2-of-10 vote, over ten two-way ORs has 1,024 branches,
+    and a merged term too deep for the compiler's walks. `--property phi1`
+    reads the same fields either way, so it does not build that term."""
+    nodes = {}
+    for i in range(10):
+        nodes[f"or{i}"] = {"gate": {"kind": "OR", "children": [f"a{i}", f"b{i}"]}}
+        for leaf in ("a", "b"):
+            nodes[f"{leaf}{i}"] = {"class": "fault", "event": {
+                "name": f"{leaf}{i}", "pattern": {"topic": f"t{i}", "v": leaf}}}
+    gate = {"kind": kind, "children": [f"or{i}" for i in range(10)]}
+    if kind == "VOT":
+        gate["k"] = 2
+    nodes["root"] = {"gate": gate}
+    path = tmp_path / "wide.rvaft.json"
+    path.write_text(json.dumps({"name": "wide", "root": "root", "nodes": nodes}))
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["run", str(path), "--property", "phi1"]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == "phi1: verdict=?"
 
 
 def test_deep_guard_is_an_input_error(full_tree_path, capsys):

@@ -236,6 +236,27 @@ def test_read_trace_skips_garbage_with_counter():
         assert stats.events == 3
 
 
+def _deeper(frames, call):
+    """``call()``, made ``frames`` Python frames deeper than the caller."""
+    return _deeper(frames - 1, call) if frames else call()
+
+
+@pytest.mark.parametrize("fields", [None, {"a": {"d"}}], ids=["in-full", "fields"])
+@pytest.mark.parametrize("kind", STREAMS)
+def test_a_too_deep_line_warns_the_same_however_deep_the_reader_is_called(kind, fields):
+    """Nesting deeper than 256 levels is refused with one fixed message, both
+    where normalizing finds it and where the JSON decoder runs out of stack,
+    and neither depends on how many frames lie above the reader."""
+    lines = ['{"topic": "a", "d": %s}' % ("[" * depth + "]" * depth)
+             for depth in (256, 257, 600, 100_000)]
+    shallow = _read(lines, fields, kind)
+    assert _deeper(200, lambda: _read(lines, fields, kind)) == shallow
+    events, stats, warnings = shallow
+    assert len(events) == 1 and stats == TraceStats(lines=4, events=1, malformed=3)
+    assert warnings == [f"skipping malformed trace line {n}: nested deeper than 256 levels"
+                        for n in (2, 3, 4)]
+
+
 NON_FINITE = pytest.mark.parametrize(
     "literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
     ids=["nan", "inf", "-inf", "1e400", "10**400"],
@@ -298,7 +319,7 @@ def _lines(draw):
     if kind == "padded":
         line = line[:-1] + (", " if len(event) else "") + '"pad": "' + "x" * 300 + '"}'
     elif kind == "deep":
-        depth = draw(st.sampled_from([50, 140, 600]))
+        depth = draw(st.sampled_from([50, 140, 256, 257, 600]))
         line = line[:-1] + (", " if len(event) else "") + '"d": ' + "[" * depth + "]" * depth + "}"
     elif kind == "duplicate":
         line = line[:-1] + (", " if len(event) else "") + '"topic": ' + json.dumps(draw(_TOPICS)) + "}"

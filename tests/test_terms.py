@@ -24,6 +24,7 @@ from rvaft.terms import (
     iter_atoms,
     match_event,
     normalize_event,
+    normalize_value,
     nullable,
 )
 
@@ -36,6 +37,22 @@ RADIATION = EventAnnotation(
      ("time", Bind("T1"))),
     parse_guard("Value >= 250"),
 )
+
+
+@pytest.mark.parametrize("kind", ["array", "object"])
+def test_normalize_value_refuses_nesting_deeper_than_256_levels(kind):
+    def nested(depth):
+        value = 1
+        for _ in range(depth):
+            value = [value] if kind == "array" else {"k": value}
+        return value
+
+    value = normalize_value(nested(256))
+    for _ in range(256):
+        value = value[0] if kind == "array" else value["k"]
+    assert value == 1.0 and type(value) is float
+    with pytest.raises(ValueError, match="^nested deeper than 256 levels$"):
+        normalize_value(nested(257))
 
 
 def test_match_binds_variables():
