@@ -293,13 +293,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _port(text):
-    try:
-        if 0 <= int(text) <= 65535:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a port from 0 to 65535: {text!r}")
+def _integer(low, high, what):
+    """An argument type: an integer from ``low`` to ``high``, else a usage
+    error that names ``what``."""
+    def parse(text):
+        try:
+            if low <= int(text) <= high:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+    return parse
 
 
 def build_parser():
@@ -347,8 +351,8 @@ def build_parser():
                    help="'merged' (default), a branch id like phi1, or 'all'")
     src = p.add_mutually_exclusive_group()
     src.add_argument("--trace", help="JSONL trace file (default: stdin)")
-    src.add_argument("--listen", type=_port, metavar="PORT",
-                     help="accept one JSONL connection on this TCP port")
+    src.add_argument("--listen", type=_integer(0, 65535, "a port from 0 to 65535"),
+                     metavar="PORT", help="accept one JSONL connection on this TCP port")
     p.add_argument("--strict", action="store_true",
                    help="non-progressing subscribed events violate")
     p.add_argument("-o", "--output")
@@ -357,8 +361,8 @@ def build_parser():
     p = sub.add_parser("simulate", help="write a case-study scenario trace")
     p.add_argument("scenario", choices=casestudy.SCENARIOS)
     p.add_argument("outcome", choices=casestudy.OUTCOMES)
-    p.add_argument("--noise", type=int, default=0, metavar="N",
-                   help="interleave N benign events")
+    p.add_argument("--noise", type=_integer(0, float("inf"), "a count of 0 or more"),
+                   default=0, metavar="N", help="interleave N benign events")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_simulate)

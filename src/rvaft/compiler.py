@@ -12,13 +12,13 @@ the union sits above the gate, as it does between separate branches.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 from .errors import InvalidKError, Log, UnclassifiedBranchError
 from .model import ATTACK, FAULT, NEUTRAL, validate
 from .terms import (
     Atom,
     Check,
+    EventAnnotation,
     Seq,
     Shuffle,
     Union,
@@ -218,7 +218,8 @@ def _build_spine(tree, nid, choices, visited):
     ann = node.annotation
     prefix = []
     if ann is not None:
-        prefix = [Atom(ann if ann.pattern else replace(ann, name=""))]
+        prefix = [Atom(ann if ann.pattern else
+                       EventAnnotation("", (), ann.guard, ann.on_guard_fail))]
     gate = node.gate
     if gate is None:
         return tuple(prefix)

@@ -1,7 +1,7 @@
 """Online evaluation of monitor terms over event streams.
 
-The monitor keeps a set of alternatives, each a residual term plus the
-variable bindings accumulated so far. Consuming an event rewrites every
+The monitor keeps a set of alternatives, each a (residual term, bindings)
+pair: the pair a derivative step yields. Consuming an event rewrites every
 alternative it can progress (classic derivative, generalised with
 environments); an event that progresses nothing either eliminates the
 alternative (a correlation guard failed) or leaves it untouched (the event
@@ -14,13 +14,11 @@ from enum import Enum
 from types import MappingProxyType
 
 from .errors import UnknownPropertyError
-from .record import Record
 from .terms import (
     Atom,
     Check,
     Env,
     Epsilon,
-    MatchOutcome,
     Seq,
     Shuffle,
     Union,
@@ -47,20 +45,6 @@ class Verdict(Enum):
 _UNKNOWN = Verdict.UNKNOWN
 _SATISFIED = Verdict.SATISFIED
 _VIOLATED = Verdict.VIOLATED
-_PROGRESS = MatchOutcome.PROGRESS
-_GUARD_FAIL = MatchOutcome.GUARD_FAIL
-
-
-class Alternative(Record):
-    """One live interpretation of the stream: residual term + bindings. It
-    equals another with an equal term and equal bindings, which is how
-    ``Monitor.step`` drops duplicates."""
-
-    __slots__ = ("term", "env")
-
-    def __init__(self, term, env):
-        self.term = term
-        self.env = env
 
 
 class StepDiagnostics:
@@ -86,10 +70,10 @@ def _derive(term, env, ev):
     if isinstance(term, (Epsilon, Check)):
         return [], False
     if isinstance(term, Atom):
-        res = match_event(term.ann, ev, env)
-        if res.outcome is _PROGRESS:
-            return [(Epsilon(), res.env)], False
-        return [], res.outcome is _GUARD_FAIL and term.ann.effective_policy() == "violate"
+        matched = match_event(term.ann, ev, env)
+        if matched:
+            return [(Epsilon(), matched)], False
+        return [], matched is False and term.ann.effective_policy() == "violate"
     if isinstance(term, Seq):
         succ, violated = _derive(term.left, env, ev)
         out = [(seq(t, term.right), e) for t, e in succ]
@@ -193,7 +177,7 @@ class Monitor:
             )
         self.strict = strict
         self.peak_alternatives = 0
-        self._replace_alternatives([Alternative(term, Env.empty())])
+        self._replace_alternatives([(term, Env.empty())])
 
     def _replace_alternatives(self, alternatives):
         self.alternatives = alternatives
@@ -206,7 +190,7 @@ class Monitor:
         tests = {}
         if not self.strict:
             atoms = {}
-            if all(_frontier(a.term, a.env, atoms) for a in alternatives):
+            if all(_frontier(t, e, atoms) for t, e in alternatives):
                 self.frontier = frozenset(atoms)
                 tests = {topic: tuple(anns) if all(map(_decides_alone, anns)) else None
                          for topic, anns in atoms.items()}
@@ -222,7 +206,7 @@ class Monitor:
             self._unrouted = _DROPPED
 
     def _assess(self):
-        if any(nullable(a.term, a.env) for a in self.alternatives):
+        if any(nullable(t, e) for t, e in self.alternatives):
             return _SATISFIED
         if not self.alternatives:
             return _VIOLATED
@@ -238,7 +222,7 @@ class Monitor:
             if not isinstance(route, tuple):
                 return route  # an outcome
             for ann in route:
-                if match_event(ann, event, _NO_BINDINGS).outcome is _PROGRESS:
+                if match_event(ann, event, _NO_BINDINGS):
                     break
             else:
                 return _NEUTRAL
@@ -246,9 +230,9 @@ class Monitor:
         candidates = []  # what replaces the alternatives, in their order
         neutral = True
         for alt in self.alternatives:
-            succ, violated = _derive(alt.term, alt.env, event)
+            succ, violated = _derive(*alt, event)
             if succ:
-                candidates.extend(Alternative(t, e) for t, e in succ)
+                candidates.extend(succ)
                 neutral = False
             elif self.strict or violated:
                 neutral = False  # eliminated
@@ -260,7 +244,8 @@ class Monitor:
             # verdict still holds.
             return _NEUTRAL
 
-        # Not a set: a binding may hold a dict, which does not hash.
+        # Not a set: a binding may hold a dict, which does not hash. Two
+        # pairs are equal when their terms and their bindings are.
         new_alts = []
         for cand in candidates:
             if cand not in new_alts:
@@ -291,8 +276,8 @@ def _bindings(monitor):
     """The union of the bindings of the monitor's live alternatives, read
     only, or None when none is set."""
     bindings = {}
-    for alt in monitor.alternatives:
-        bindings.update(alt.env.items)
+    for _, env in monitor.alternatives:
+        bindings.update(env.items)
     return MappingProxyType(bindings) if bindings else None
 
 

@@ -4,7 +4,9 @@ import operator
 
 
 class Record:
-    """A record whose value is its fields, named in ``__slots__`` in order.
+    """A record whose value is its fields, named in ``__slots__`` in order;
+    a slot whose name starts with ``_`` holds a value derived from the
+    fields once, and is no field.
 
     It equals another record of its exact class whose fields are equal as a
     tuple (so a field equals itself, a NaN too), and its repr is the one a
@@ -17,9 +19,10 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if cls.__slots__:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if cls._fields:
             # The field values: a tuple, or the value itself for one field.
-            cls._values = operator.attrgetter(*cls.__slots__)
+            cls._values = operator.attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -32,5 +35,5 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"

@@ -8,11 +8,10 @@ bindings. Sequence, union and shuffle compose sub-terms.
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import TypeMismatchError, UnboundVariableError
 from .record import Record
@@ -119,9 +118,6 @@ class Env(Record):
             raise ValueError(f"variable {name} already bound")
         new = tuple(sorted(self.items + ((name, value),), key=lambda kv: kv[0]))
         return Env(new)
-
-    def as_dict(self):
-        return dict(self.items)
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.items)
@@ -265,8 +261,7 @@ class Bind(Record):
         self.var = var
 
 
-@dataclass(frozen=True)
-class EventAnnotation:
+class EventAnnotation(Record):
     """A named event-type pattern with an optional guard.
 
     ``pattern`` is an ordered tuple of (key, matcher) pairs where a matcher is
@@ -275,28 +270,25 @@ class EventAnnotation:
     guard-failure policy ('skip' or 'violate').
     """
 
-    name: str
-    pattern: tuple = ()
-    guard: GuardExpr | None = None
-    on_guard_fail: str | None = None
+    __slots__ = ("name", "pattern", "guard", "on_guard_fail", "_policy")
+    __hash__ = Record.field_hash
 
-    def __post_init__(self):
-        keys = [k for k, _ in self.pattern]
+    def __init__(self, name, pattern=(), guard=None, on_guard_fail=None):
+        keys = [k for k, _ in pattern]
         if len(set(keys)) != len(keys):
-            raise ValueError(f"duplicate pattern keys in {self.name}: {keys}")
-        if not self.pattern and self.guard is None:
-            raise ValueError(f"annotation {self.name} has neither pattern nor guard")
-        if self.on_guard_fail not in (None, "skip", "violate"):
-            raise ValueError(f"bad on_guard_fail: {self.on_guard_fail!r}")
-        if self.on_guard_fail is not None:
-            policy = self.on_guard_fail
-        elif self.guard is None or guard_vars(self.guard) <= set(self.bound_vars()):
-            policy = "skip"
-        else:
-            policy = "violate"
-        # Not a field, so equality, hashing, repr and replace() ignore it;
-        # replace() runs __post_init__ again and so derives it anew.
-        object.__setattr__(self, "_policy", policy)
+            raise ValueError(f"duplicate pattern keys in {name}: {keys}")
+        if not pattern and guard is None:
+            raise ValueError(f"annotation {name} has neither pattern nor guard")
+        if on_guard_fail not in (None, "skip", "violate"):
+            raise ValueError(f"bad on_guard_fail: {on_guard_fail!r}")
+        self.name = name
+        self.pattern = pattern
+        self.guard = guard
+        self.on_guard_fail = on_guard_fail
+        # Derived once; no field, so equality, hashing and repr ignore it.
+        self._policy = on_guard_fail or (
+            "skip" if guard is None or guard_vars(guard) <= set(self.bound_vars())
+            else "violate")
 
     def bound_vars(self):
         """Variables bound by this annotation's own pattern, in pattern order."""
@@ -323,63 +315,41 @@ class EventAnnotation:
         """Conjoin another guard onto this annotation (used by guard folding)."""
         g = extra if self.guard is None else BinOp("and", self.guard, extra)
         policy = self.on_guard_fail if self.on_guard_fail is not None else on_guard_fail
-        return replace(self, guard=g, on_guard_fail=policy)
-
-
-class MatchOutcome(enum.Enum):
-    PROGRESS = "progress"
-    GUARD_FAIL = "guard_fail"
-    NO_MATCH = "no_match"
-
-
-class MatchResult(Record):
-    __slots__ = ("outcome", "env")
-
-    def __init__(self, outcome, env=None):
-        self.outcome = outcome
-        self.env = env
-
-
-# The results that carry no bindings are shared.
-NO_MATCH = MatchResult(MatchOutcome.NO_MATCH)
-GUARD_FAILED = MatchResult(MatchOutcome.GUARD_FAIL)
-
-# Reading a member off its Enum class costs a descriptor call.
-_PROGRESS = MatchOutcome.PROGRESS
+        return EventAnnotation(self.name, self.pattern, g, policy)
 
 
 def match_event(ann, event, env):
     """Match one event against one annotation under the given bindings.
 
-    Progress: every pattern key is present, literals are equal, binds are
-    consistent with the environment, and the guard (if any) holds. A false
-    guard after a successful pattern is GuardFail; anything else is NoMatch.
-    An unbound guard variable means the atom cannot discriminate yet, and a
-    guard that cannot be evaluated (a type mismatch) cannot hold: both are
-    NoMatch.
+    The match holds when every pattern key is present, literals are equal,
+    binds are consistent with the environment, and the guard (if any) holds;
+    it returns the bindings extended by the pattern's binds, an ``Env``,
+    which is truthy even when empty. A false guard after a successful
+    pattern returns False (a guard failure); anything else returns None (no
+    match). An unbound guard variable means the atom cannot discriminate
+    yet, and a guard that cannot be evaluated (a type mismatch) cannot hold:
+    both are no match.
     """
     new_env = env
     for key, matcher in ann.pattern:
         if key not in event:
-            return NO_MATCH
+            return None
         value = event[key]
         if isinstance(matcher, Bind):
             bound = new_env.get(matcher.var)
             if bound is _UNSET:
                 new_env = new_env.bind(matcher.var, value)
             elif not values_equal(bound, value):
-                return NO_MATCH
+                return None
         elif not values_equal(matcher, value):
-            return NO_MATCH
+            return None
     if ann.guard is None:
-        return MatchResult(_PROGRESS, new_env)
+        return new_env
     try:
         ok = eval_guard(ann.guard, new_env)
     except (UnboundVariableError, TypeMismatchError):
-        return NO_MATCH
-    if ok:
-        return MatchResult(_PROGRESS, new_env)
-    return GUARD_FAILED
+        return None
+    return new_env if ok else False
 
 
 # ---------------------------------------------------------------------------

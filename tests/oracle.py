@@ -22,7 +22,6 @@ from rvaft.terms import (
     Check,
     Env,
     Epsilon,
-    MatchOutcome,
     Seq,
     Shuffle,
     Union,
@@ -62,9 +61,9 @@ def matches(term, env, events):
         return out
     if isinstance(term, Atom):
         if len(events) == 1:
-            res = match_event(term.ann, events[0], env)
-            if res.outcome is MatchOutcome.PROGRESS:
-                out.append(res.env)
+            matched = match_event(term.ann, events[0], env)
+            if matched:
+                out.append(matched)
         return out
     if isinstance(term, Check):
         if not events and _safe_eval(term.guard, env):
@@ -107,9 +106,9 @@ def prefix_envs(term, env, events):
         if not events:
             out.append(env)
         elif len(events) == 1:
-            res = match_event(term.ann, events[0], env)
-            if res.outcome is MatchOutcome.PROGRESS:
-                out.append(res.env)
+            matched = match_event(term.ann, events[0], env)
+            if matched:
+                out.append(matched)
         return out
     if isinstance(term, Seq):
         for e in prefix_envs(term.left, env, events):
@@ -238,15 +237,12 @@ def oracle_verdict(term, trace, topics=None, max_states=4096):
             successors = []
             violated = False
             for occ_path, ann in view.frontier:
-                res = match_event(ann, event, env)
-                if res.outcome is MatchOutcome.PROGRESS:
+                matched = match_event(ann, event, env)
+                if matched:
                     extended = dict(assignment)
                     extended[occ_path] = j
-                    successors.append((extended, res.env))
-                elif (
-                    res.outcome is MatchOutcome.GUARD_FAIL
-                    and ann.effective_policy() == "violate"
-                ):
+                    successors.append((extended, matched))
+                elif matched is False and ann.effective_policy() == "violate":
                     violated = True
             if successors:
                 new_states.extend(successors)

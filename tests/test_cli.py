@@ -21,8 +21,9 @@ from conftest import CASES
 from rvaft import cli
 from rvaft.cli import main
 from rvaft.casestudy import OUTCOMES, SCENARIOS, pruned_tree
+from rvaft.compiler import compile_tree
 from rvaft.engine import Verdict, VerdictState
-from rvaft.model import annotate
+from rvaft.model import annotate, prune
 from rvaft.terms import Bind, EventAnnotation
 from rvaft.fileformat import (
     parse_guard,
@@ -354,6 +355,19 @@ def test_listen_on_a_bad_port_is_a_usage_error(port, tree_path, monkeypatch, cap
     assert exc.value.code == 1 and captured.out == ""
     assert captured.err.splitlines()[-1] == (
         f"rvaft run: error: argument --listen: not a port from 0 to 65535: '{port}'")
+
+
+@pytest.mark.parametrize("noise", ["-5", "-1", "1.5", "abc"])
+def test_simulate_with_a_bad_noise_count_is_a_usage_error(noise, tmp_path, capsys):
+    """A noise count below 0 or not an integer is refused while the arguments
+    are parsed, and no trace is written."""
+    trace = tmp_path / "t.trace.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "fault-moving", "bad", "--noise", noise, "-o", str(trace)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == "" and not trace.exists()
+    assert captured.err.splitlines()[-1] == (
+        f"rvaft simulate: error: argument --noise: not a count of 0 or more: '{noise}'")
 
 
 @pytest.mark.parametrize("output,expected", [
@@ -1164,6 +1178,68 @@ def test_sand_rl_over_reversed_children_changes_nothing(scenario, outcome, name,
           "--seed", str(SCENARIOS.index(scenario)), "-o", str(trace)])
     assert (_run_all(rewritten, trace, tmp_path / "rl", capsys)
             == _run_all(document, trace, tmp_path / "lr", capsys))
+
+
+# (tree, OR node, arm) for each arm of each OR of both shipped trees.
+OR_ARMS = [(name, nid, arm)
+           for name in ("remote_inspection", "full_inspection")
+           for nid, node in json.loads((CASES / f"{name}.rvaft.json").read_text())["nodes"]
+           .items() if (node.get("gate") or {}).get("kind") == "OR"
+           for arm in node["gate"]["children"]]
+
+
+def _branch_rows(tree_path, capsys):
+    """`rvaft branches` of a tree: (id, class, path labels) per branch."""
+    capsys.readouterr()
+    assert main(["branches", str(tree_path)]) == 0
+    rows = [line.split(None, 2) for line in capsys.readouterr().out.splitlines()]
+    return [(pid, cls, tuple(labels.split(" -> "))) for pid, cls, labels in rows]
+
+
+def _run_branch(tree_path, which, trace, out, capsys):
+    """Exit code, stderr and verdict file of `rvaft run --property which`."""
+    capsys.readouterr()
+    code = main(["run", str(tree_path), "--trace", str(trace), "--property", which,
+                 "-o", str(out)])
+    return code, capsys.readouterr().err, out.read_text()
+
+
+@pytest.mark.parametrize("name, or_node, arm", OR_ARMS,
+                         ids=[f"{name}-{arm}" for name, _, arm in OR_ARMS])
+def test_pruning_an_or_arm_removes_its_branches_and_changes_no_other(name, or_node, arm,
+                                                                    tmp_path, capsys):
+    """ROADMAP law L7, on both shipped trees: pruning one arm of an OR removes
+    exactly the branches that choose that arm from `rvaft branches`. Every
+    other branch, matched by its path labels, keeps its `--property phiN`
+    verdict file, stderr line and exit code on the eight C2 traces, up to its
+    id. An OR left with one arm collapses, so its choice leaves the path."""
+    document = _shipped_documents()[name]
+    full_path, pruned_path = tmp_path / "full.rvaft.json", tmp_path / "pruned.rvaft.json"
+    full_path.write_text(json.dumps(document))
+    full = parse_tree(full_path.read_bytes())
+    pruned = prune(full, {arm})
+    pruned_path.write_text(serialize_tree(pruned))
+    collapsed = set() if or_node in pruned.nodes else set(full.nodes[or_node].gate.children)
+
+    def labels(path):
+        return tuple(full.nodes[nid].label or nid for nid in path if nid not in collapsed)
+
+    kept = [(p.id, p.node_class, labels(p.path))
+            for p in compile_tree(full, do_merge=False).properties if arm not in p.path]
+    rows = _branch_rows(pruned_path, capsys)
+    assert [row[1:] for row in rows] == [row[1:] for row in kept]
+    assert len(kept) < len(_branch_rows(full_path, capsys))
+    for index, scenario in enumerate(SCENARIOS):
+        for outcome in OUTCOMES:
+            trace = tmp_path / f"{scenario}.{outcome}.jsonl"
+            main(["simulate", scenario, outcome, "--noise", "30", "--seed", str(index),
+                  "-o", str(trace)])
+            for (was, _, _), (now, _, _) in zip(kept, rows):
+                code, *texts = _run_branch(pruned_path, now, trace, tmp_path / "p.jsonl",
+                                           capsys)
+                renamed = (code, *(re.sub(rf"\b{now}\b", was, text) for text in texts))
+                assert renamed == _run_branch(full_path, was, trace, tmp_path / "f.jsonl",
+                                              capsys), (scenario, outcome, was)
 
 
 def test_run_rejects_non_runtime_ready_tree(full_tree_path, tmp_path, capsys):

@@ -17,7 +17,6 @@ from rvaft.errors import UnknownPropertyError
 from rvaft.fileformat import parse_guard, parse_tree
 from rvaft.model import annotate
 from rvaft.terms import (
-    NO_MATCH,
     Atom,
     Bind,
     Check,
@@ -343,7 +342,7 @@ def test_atom_without_literal_topic_opens_the_frontier(wild, monkeypatch):
     assert m.frontier is None
     tried = []
     monkeypatch.setattr(
-        engine, "match_event", lambda ann, _ev, _env: tried.append(ann.name) or NO_MATCH
+        engine, "match_event", lambda ann, _ev, _env: tried.append(ann.name)  # None: no match
     )
     assert m.step(EC).outcome == "neutral"  # derived in full, though no atom names t_c
     assert tried == ["a", wild.name]
@@ -497,10 +496,10 @@ def _replay(spec, which, trace, strict):
             off_frontier += off
             atom_tested += isinstance(m._route.get(topic), tuple)
             behind_check += off and any(
-                topic in _behind_failed_checks(a.term, a.env) for a in m.alternatives)
+                topic in _behind_failed_checks(t, e) for t, e in m.alternatives)
         state = runner.feed(ev)
         assert state.live_branches == runner.attribution()
-        assert state.bindings == ({k: v for a in m.alternatives for k, v in a.env.items}
+        assert state.bindings == ({k: v for _, e in m.alternatives for k, v in e.items}
                                   or None)
         diag = diags[-1]
         rows.append((diag.outcome, tuple(m.alternatives), m.verdict))

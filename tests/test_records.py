@@ -3,8 +3,7 @@ value semantics the code relies on.
 
 Creating a dataclass generates and compiles its methods at import, which
 `rvaft run` pays on every spawn; only the term nodes (which
-`perfbench/tracer.py` walks with `dataclasses.fields`) and `EventAnnotation`
-(whose `fields` and `replace` `test_terms.py` uses) stay dataclasses. The
+`perfbench/tracer.py` walks with `dataclasses.fields`) stay dataclasses. The
 records compared by value derive equality and repr from their `__slots__`
 through `rvaft.record.Record`; the rest compare by identity.
 """
@@ -19,19 +18,16 @@ from conftest import CASES
 from oracle import RunResult
 
 from rvaft.compiler import BranchProperty, MonitorSpec
-from rvaft.engine import Alternative, StepDiagnostics, Verdict, VerdictState
+from rvaft.engine import StepDiagnostics, Verdict, VerdictState
 from rvaft.fileformat import TraceStats, parse_guard, parse_tree, serialize_tree
 from rvaft.model import GateSpec, RvaftNode, RvaftTree, Violation
 from rvaft.terms import (
     EPSILON,
-    Atom,
     BinOp,
     Bind,
     Const,
     Env,
     EventAnnotation,
-    MatchOutcome,
-    MatchResult,
     NotOp,
     Var,
 )
@@ -39,10 +35,8 @@ from rvaft.terms import (
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 TERM_NODES = {"Atom", "Check", "Epsilon", "Seq", "Shuffle", "Union"}
-# Dataclasses that are not term nodes, each kept for a reason:
-DATACLASS_EXCEPTIONS = {
-    "EventAnnotation",  # test_terms.py checks its fields() and replace()
-}
+# Dataclasses that are not term nodes, each kept for a reason: none is.
+DATACLASS_EXCEPTIONS = set()
 
 
 def test_only_term_nodes_and_the_named_exceptions_are_dataclasses():
@@ -72,8 +66,8 @@ VALUE_RECORDS = [
     (BinOp, (">=", Var("T2"), Const(10.0)), ("<=", Var("T2"), Const(10.0))),
     (NotOp, (Var("ok"),), (Var("ko"),)),
     (Bind, ("W",), ("V",)),
-    (MatchResult, (MatchOutcome.PROGRESS, Env()), (MatchOutcome.NO_MATCH, None)),
-    (Alternative, (Atom(ANN), Env()), (Atom(ANN), Env((("W", 1.0),)))),
+    (EventAnnotation, ("r", (("v", Bind("V")),), GUARD, "skip"),
+     ("r", (("v", Bind("V")),), GUARD, "violate")),
     (GateSpec, ("VOT", ("a", "b"), 1), ("VOT", ("a", "b"), 2)),
     (RvaftNode, ("a", "A", "fault", ANN, None), ("a", "A", "attack", ANN, None)),
     (RvaftTree, ("t", "r", {"r": RvaftNode("r")}), ("t", "r", {"r": RvaftNode("r", "R")})),
@@ -99,12 +93,12 @@ def test_records_of_two_classes_with_equal_fields_are_unequal():
     assert Var("x") != Bind("x")
     assert Const("x") != Var("x")
     assert Const(GUARD) != NotOp(GUARD)
-    assert MatchResult(Atom(ANN), Env()) != Alternative(Atom(ANN), Env())
 
 
 def test_only_env_guard_nodes_and_bind_hash():
+    """And the annotations, which the term nodes that hold them hash."""
     hashable = {cls for cls, _, _ in VALUE_RECORDS if cls.__hash__ is not None}
-    assert hashable == {Env, Const, Var, BinOp, NotOp, Bind}
+    assert hashable == {Env, Const, Var, BinOp, NotOp, Bind, EventAnnotation}
 
 
 def test_a_field_equals_itself_even_when_it_is_a_nan():

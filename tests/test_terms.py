@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -10,14 +9,12 @@ from rvaft.compiler import compile_tree
 from rvaft.errors import TypeMismatchError, UnboundVariableError
 from rvaft.fileformat import parse_guard, parse_tree
 from rvaft.terms import (
-    NO_MATCH,
     Atom,
     Bind,
     Check,
     Env,
     Epsilon,
     EventAnnotation,
-    MatchOutcome,
     Seq,
     eval_guard,
     guard_vars,
@@ -59,26 +56,22 @@ def test_match_binds_variables():
     ev = normalize_event(
         {"topic": "command", "time": 10.4, "name": "move", "waypoint": 0}
     )
-    res = match_event(MOVE, ev, Env.empty())
-    assert res.outcome is MatchOutcome.PROGRESS
-    assert res.env.get("Waypoint") == 0.0
+    env = match_event(MOVE, ev, Env.empty())
+    assert env.get("Waypoint") == 0.0
 
 
 def test_match_guard_pass_binds_all():
     ev = normalize_event(
         {"topic": "radiation_sensor_plugin/sensor_0", "value": 257.0, "time": 16.1}
     )
-    res = match_event(RADIATION, ev, Env.empty())
-    assert res.outcome is MatchOutcome.PROGRESS
-    assert res.env.as_dict() == {"Value": 257.0, "T1": 16.1}
+    assert match_event(RADIATION, ev, Env.empty()) == Env((("T1", 16.1), ("Value", 257.0)))
 
 
 def test_match_guard_fail_on_low_value():
     ev = normalize_event(
         {"topic": "radiation_sensor_plugin/sensor_0", "value": 100.0, "time": 16.1}
     )
-    res = match_event(RADIATION, ev, Env.empty())
-    assert res.outcome is MatchOutcome.GUARD_FAIL
+    assert match_event(RADIATION, ev, Env.empty()) is False
 
 
 def test_match_missing_key_is_no_match():
@@ -86,13 +79,13 @@ def test_match_missing_key_is_no_match():
         "inspect", (("topic", "command"), ("name", "inspect"), ("waypoint", Bind("W")))
     )
     ev = normalize_event({"topic": "move_base/goal", "goal": 2})
-    assert match_event(inspect, ev, Env.empty()).outcome is MatchOutcome.NO_MATCH
+    assert match_event(inspect, ev, Env.empty()) is None
 
 
 def test_match_bind_consistency():
     env = Env.empty().bind("Waypoint", 0.0)
     ev = normalize_event({"topic": "command", "name": "move", "waypoint": 1})
-    assert match_event(MOVE, ev, env).outcome is MatchOutcome.NO_MATCH
+    assert match_event(MOVE, ev, env) is None
 
 
 def test_match_unbound_guard_var_is_no_match():
@@ -101,8 +94,7 @@ def test_match_unbound_guard_var_is_no_match():
         parse_guard("NewWp != MBGoal"),
     )
     ev = normalize_event({"topic": "move_base/goal", "goal": 2})
-    res = match_event(ann, ev, Env.empty())
-    assert res.outcome is MatchOutcome.NO_MATCH
+    assert match_event(ann, ev, Env.empty()) is None
 
 
 def test_guard_timeout_arithmetic():
@@ -178,10 +170,17 @@ def _annotations_under_test():
     return anns
 
 
+def _with(ann, **changes):
+    """A copy of the annotation with some of its fields changed."""
+    fields = dict(name=ann.name, pattern=ann.pattern, guard=ann.guard,
+                  on_guard_fail=ann.on_guard_fail)
+    return EventAnnotation(**{**fields, **changes})
+
+
 def test_effective_policy_is_derived_once_and_is_no_field():
     """The policy kept with an annotation is the rule's fresh value, also on
-    the copies that guard folding and ``replace`` make; it takes no part in
-    equality, hashing or repr."""
+    the copies that guard folding makes and on new annotations with changed
+    fields; it takes no part in equality, hashing or repr."""
     anns = _annotations_under_test()
     assert {_policy_by_the_rule(a) for a in anns} == {"skip", "violate"}
     correlated = parse_guard("T1 >= Other")
@@ -190,22 +189,20 @@ def test_effective_policy_is_derived_once_and_is_no_field():
             ann,
             ann.with_extra_guard(correlated),
             ann.with_extra_guard(correlated, on_guard_fail="skip"),
-            dataclasses.replace(ann, on_guard_fail="violate"),
-            dataclasses.replace(ann, on_guard_fail=None),
+            _with(ann, on_guard_fail="violate"),
+            _with(ann, on_guard_fail=None),
         ]
         if ann.pattern:
-            variants.append(dataclasses.replace(ann, guard=None))
+            variants.append(_with(ann, guard=None))
         for v in variants:
             assert v.effective_policy() == _policy_by_the_rule(v), v
             fields = (v.name, v.pattern, v.guard, v.on_guard_fail)
-            assert [f.name for f in dataclasses.fields(v)] == [
-                "name", "pattern", "guard", "on_guard_fail"]
             assert hash(v) == hash(fields)
             assert repr(v) == (
                 "EventAnnotation(name=%r, pattern=%r, guard=%r, on_guard_fail=%r)" % fields)
-            assert v == EventAnnotation(*fields) == dataclasses.replace(v)
+            assert v == EventAnnotation(*fields) == _with(v)
     skip = EventAnnotation("r", RADIATION.pattern, RADIATION.guard)
-    assert skip != dataclasses.replace(skip, on_guard_fail="skip")
+    assert skip != _with(skip, on_guard_fail="skip")
 
 
 def test_nullable_basics():
@@ -232,8 +229,9 @@ def test_env_bind_once():
 )
 @settings(max_examples=200, deadline=None)
 def test_match_tristate_is_exhaustive_and_pure(value, waypoint):
-    """Progress/GuardFail/NoMatch: exactly one, and stable. A guard that meets
-    a value of the wrong type cannot hold, so it is NoMatch."""
+    """Bindings, False (a failed guard) or None (no match): exactly one, and
+    stable. A guard that meets a value of the wrong type cannot hold, so it
+    is no match."""
     ev = normalize_event(
         {"topic": "radiation_sensor_plugin/sensor_0", "value": value, "time": 1.0,
          "waypoint": waypoint}
@@ -241,9 +239,11 @@ def test_match_tristate_is_exhaustive_and_pure(value, waypoint):
     first = match_event(RADIATION, ev, Env.empty())
     assert match_event(RADIATION, ev, Env.empty()) == first
     if isinstance(value, str):  # ordered guard met a non-number
-        assert first is NO_MATCH
+        assert first is None
+    elif value >= 250:
+        assert first == Env((("T1", 1.0), ("Value", value)))
     else:
-        assert first.outcome in (MatchOutcome.PROGRESS, MatchOutcome.GUARD_FAIL)
+        assert first is False
 
 
 def test_bind_once_across_a_sequence():
@@ -254,10 +254,9 @@ def test_bind_once_across_a_sequence():
     )
     again = match_event(
         MOVE, normalize_event({"topic": "command", "name": "move", "waypoint": 0}),
-        first.env,
+        first,
     )
-    assert again.outcome is MatchOutcome.PROGRESS
-    assert again.env == first.env
+    assert again == first
 
 
 def test_structural_equality_separates_booleans_from_numbers():
@@ -266,8 +265,9 @@ def test_structural_equality_separates_booleans_from_numbers():
     flag_lit = EventAnnotation("f", (("topic", "t"), ("flag", True)))
     ev_bool = normalize_event({"topic": "t", "flag": True})
     ev_num = normalize_event({"topic": "t", "flag": 1})
-    assert match_event(flag_lit, ev_bool, Env.empty()).outcome is MatchOutcome.PROGRESS
-    assert match_event(flag_lit, ev_num, Env.empty()).outcome is MatchOutcome.NO_MATCH
+    matched = match_event(flag_lit, ev_bool, Env.empty())
+    assert matched == Env() and matched  # a match binding nothing is still truthy
+    assert match_event(flag_lit, ev_num, Env.empty()) is None
     assert not values_equal({"a": True}, {"a": 1.0})
     assert values_equal({"a": (1.0, "x")}, {"a": (1.0, "x")})
 
@@ -277,5 +277,5 @@ def test_nested_structured_values_compare_deeply():
     ann = EventAnnotation("r", (("topic", "t"), ("pose", normalize_event(pose)["position"])))
     same = normalize_event({"topic": "t", "pose": {"x": 1.8, "y": 0.4, "z": 0.0}})
     different = normalize_event({"topic": "t", "pose": {"x": 1.8, "y": 0.4, "z": 9.9}})
-    assert match_event(ann, same, Env.empty()).outcome is MatchOutcome.PROGRESS
-    assert match_event(ann, different, Env.empty()).outcome is MatchOutcome.NO_MATCH
+    assert match_event(ann, same, Env.empty()) == Env()
+    assert match_event(ann, different, Env.empty()) is None
