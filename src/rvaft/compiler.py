@@ -24,7 +24,6 @@ from .terms import (
     Union,
     iter_atoms,
     seq_all,
-    term_topics,
 )
 
 log = Log(__name__)
@@ -124,16 +123,21 @@ class BranchProperty:
 
 
 class MonitorSpec:
-    __slots__ = ("properties", "merged", "topics", "fields")
+    __slots__ = ("properties", "merged", "fields")
 
-    def __init__(self, properties, merged, topics, fields=None):
+    def __init__(self, properties, merged, fields=None):
         self.properties = properties
         self.merged = merged  # a Term, or None
-        self.topics = topics
-        # Per literal topic, the event keys that some atom on it reads; None
-        # when some atom's topic is not a literal string, so any key of any
-        # event may be read.
+        # The subscription: per canonical topic, the event keys that some
+        # atom on it reads; None when some atom's topic is not a literal
+        # string, so any key of any event may be read.
         self.fields = fields
+
+    @property
+    def topics(self):
+        """The subscribed topics: the keys of ``fields``, or None (every
+        topic) when ``fields`` is None."""
+        return None if self.fields is None else frozenset(self.fields)
 
     def property_ids(self):
         return tuple(p.id for p in self.properties)
@@ -335,17 +339,13 @@ def read_fields(terms):
 
 
 def compile_tree(tree, do_merge=True):
-    """Full compilation: branch properties, optional merged term, topic set
-    and the event keys read on each topic."""
-    props = decompose(tree)
-    merged = merge(tree) if do_merge else None
-    topics = set()
-    for p in props:
-        topics |= term_topics(p.term)
-    terms = [p.term for p in props] + ([merged] if merged is not None else [])
+    """Full compilation: branch properties, optional merged term and the
+    subscription, the event keys read on each topic. The merged term's atoms
+    have the branches' patterns, so the branches alone give the
+    subscription."""
+    props = tuple(decompose(tree))
     return MonitorSpec(
-        properties=tuple(props),
-        merged=merged,
-        topics=frozenset(topics),
-        fields=read_fields(terms),
+        properties=props,
+        merged=merge(tree) if do_merge else None,
+        fields=read_fields(p.term for p in props),
     )

@@ -22,7 +22,6 @@ from .terms import (
     Seq,
     Shuffle,
     Union,
-    canonical_topic,
     guard_vars,
     match_event,
     nullable,
@@ -156,25 +155,20 @@ class Monitor:
     any other next atom derives.
 
     All of this is one lookup of the event's topic in ``_route``, built with
-    the frontier. It maps every spelling of a subscribed topic (``t`` and
-    ``/t``, which ``canonical_topic`` maps to ``t``) to the outcome ``step``
+    the frontier. It maps every subscribed topic to the outcome ``step``
     returns at once (neutral off the frontier), to the tuple of atom tests
     that decide the event alone, or to None: derive. Any other topic, and a
     topic that does not hash, gets the fallback ``_unrouted``: dropped under
     a topic filter, else neutral while there is a frontier, else None. A
     decided monitor has an empty table whose fallback is decided.
+
+    Topics are compared as given: an event's topic must be spelt as the
+    atoms spell theirs, canonically (``read_trace`` maps ``/t`` to ``t``).
     """
 
     def __init__(self, term, topics=None, strict=False):
         self.term = term
         self.topics = frozenset(topics) if topics is not None else None
-        self._spellings = None
-        if self.topics is not None:
-            self._spellings = frozenset(
-                s for t in self.topics
-                for s in ((t, "/" + t) if isinstance(t, str) else (t,))
-                if canonical_topic(s) in self.topics
-            )
         self.strict = strict
         self.peak_alternatives = 0
         self._replace_alternatives([(term, Env.empty())])
@@ -198,11 +192,11 @@ class Monitor:
         if self.verdict is not _UNKNOWN:
             self._route = {}
             self._unrouted = _DECIDED
-        elif self._spellings is None:
+        elif self.topics is None:
             self._route = tests
             self._unrouted = off_frontier
         else:
-            self._route = {s: tests.get(s, off_frontier) for s in self._spellings}
+            self._route = {t: tests.get(t, off_frontier) for t in self.topics}
             self._unrouted = _DROPPED
 
     def _assess(self):

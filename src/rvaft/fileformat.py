@@ -262,8 +262,6 @@ def _parse_matcher(node_id, key, raw):
         value = normalize_value(raw)
     except ValueError as exc:
         _schema_error(node_id, f"pattern {key}: {exc}")
-    if key == "topic" and isinstance(value, str):
-        value = canonical_topic(value)
     return value
 
 

@@ -265,8 +265,10 @@ class EventAnnotation(Record):
     """A named event-type pattern with an optional guard.
 
     ``pattern`` is an ordered tuple of (key, matcher) pairs where a matcher is
-    either a Bind or a literal value. An empty pattern with a guard present is
-    a guard-only annotation. ``on_guard_fail`` overrides the derived
+    either a Bind or a literal value; a literal string topic is kept
+    canonical, as ``canonical_topic`` maps it, so that it names the topic of
+    the events ``read_trace`` yields. An empty pattern with a guard present
+    is a guard-only annotation. ``on_guard_fail`` overrides the derived
     guard-failure policy ('skip' or 'violate').
     """
 
@@ -282,7 +284,8 @@ class EventAnnotation(Record):
         if on_guard_fail not in (None, "skip", "violate"):
             raise ValueError(f"bad on_guard_fail: {on_guard_fail!r}")
         self.name = name
-        self.pattern = pattern
+        self.pattern = tuple((k, canonical_topic(m) if k == "topic" else m)
+                             for k, m in pattern)
         self.guard = guard
         self.on_guard_fail = on_guard_fail
         # Derived once; no field, so equality, hashing and repr ignore it.
@@ -466,13 +469,3 @@ def term_bind_vars(term):
             if v not in seen:
                 seen.append(v)
     return tuple(seen)
-
-
-def term_topics(term):
-    """Literal topics mentioned by the term's atoms."""
-    out = set()
-    for ann in iter_atoms(term):
-        t = ann.topic()
-        if t is not None:
-            out.add(t)
-    return out

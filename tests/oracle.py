@@ -25,7 +25,6 @@ from rvaft.terms import (
     Seq,
     Shuffle,
     Union,
-    canonical_topic,
     eval_guard,
     match_event,
 )
@@ -222,14 +221,15 @@ def oracle_verdict(term, trace, topics=None, max_states=4096):
     must (one successor per consuming occurrence); otherwise a violate-policy
     guard failure kills the state; otherwise the event is noise for it.
     Satisfied once any state's remainder is nullable; violated once no state
-    survives.
+    survives. An event whose topic, as given, is not in ``topics`` is
+    skipped, as ``Monitor`` drops it.
     """
     topics = frozenset(topics) if topics is not None else None
     states = [({}, Env.empty())]
     if _view(term, {}, Env.empty()).nullable:
         return Verdict.SATISFIED
     for j, event in enumerate(trace):
-        if topics is not None and canonical_topic(event.get("topic")) not in topics:
+        if topics is not None and event.get("topic") not in topics:
             continue
         new_states = []
         for assignment, env in states:

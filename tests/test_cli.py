@@ -1129,6 +1129,73 @@ def test_respelling_every_topic_changes_nothing(scenario, outcome, tmp_path, cap
                 == _run_shipped(events, tmp_path / "plain.jsonl", which, capsys)), which
 
 
+# An atom with no literal string topic: no `topic` key, or a topic bound to
+# a variable. Its events come on a topic that no atom names.
+UNLISTED_TOPIC_ATOMS = {"no-topic": {"kind": "x"},
+                        "bound-topic": {"topic": {"bind": "T"}, "kind": "x"}}
+
+
+def _unlisted_topic_tree(tmp_path, pattern):
+    """`SAND_LR(a, b)`, with `a` on topic `/a` and `b` matching ``pattern``."""
+    doc = {
+        "name": "unlisted", "root": "r",
+        "nodes": {
+            "r": {"gate": {"kind": "SAND_LR", "children": ["a", "b"]}},
+            "a": {"class": "fault", "event": {"name": "a", "pattern": {"topic": "/a"}}},
+            "b": {"class": "fault", "event": {"name": "b", "pattern": pattern}},
+        },
+    }
+    path = tmp_path / "unlisted.rvaft.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("source", ["--trace", "stdin-pipe"])
+@pytest.mark.parametrize("which", ["merged", "phi1"])
+@pytest.mark.parametrize("atom", list(UNLISTED_TOPIC_ATOMS))
+def test_an_atom_with_no_literal_topic_subscribes_the_run_to_every_topic(atom, which, source,
+                                                                         tmp_path):
+    """The atom `b` has no literal topic, so the run reads every topic: the
+    event that `b` needs, on a topic that no atom names, completes the
+    branch."""
+    tree = _unlisted_topic_tree(tmp_path, UNLISTED_TOPIC_ATOMS[atom])
+    payload = b'{"topic": "/a"}\n{"topic": "/sensor", "kind": "x"}\n'
+    trace = tmp_path / "t.trace.jsonl"
+    trace.write_bytes(payload)
+    cmd = [sys.executable, "-m", "rvaft.cli", "run", str(tree), "--property", which]
+    if source == "--trace":
+        cmd += ["--trace", str(trace)]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    run = subprocess.run(cmd, input=payload, capture_output=True, env=env, timeout=60)
+    assert run.returncode == 2, run.stderr
+    assert [json.loads(line)["verdict"] for line in run.stdout.splitlines()] == ["?", "top"]
+    assert run.stderr.decode().endswith(f"{which}: verdict=⊤ detected=fault branches=phi1\n")
+
+
+@pytest.mark.parametrize("atom", list(UNLISTED_TOPIC_ATOMS))
+def test_strict_steps_every_topic_on_a_tree_subscribed_to_every_topic(atom, tmp_path, capsys):
+    """With `--strict`, an event that progresses nothing eliminates. On a tree
+    with an atom on no literal topic every topic is subscribed, so an
+    `odom` event between `a` and `b` ends the run `⊥`; without `--strict` it
+    is noise. On a tree whose atoms all name their topic, `odom` is off the
+    subscription and dropped either way."""
+    trace = tmp_path / "t.trace.jsonl"
+    trace.write_text('{"topic": "/a"}\n{"topic": "odom"}\n{"topic": "/sensor", "kind": "x"}\n')
+    listed = {"topic": "sensor", "kind": "x"}
+    # (pattern of b, --strict, the verdicts, whether the odom line is skipped)
+    for pattern, strict, expected, skipped in [
+        (UNLISTED_TOPIC_ATOMS[atom], False, ["?", "?", "top"], True),
+        (UNLISTED_TOPIC_ATOMS[atom], True, ["?", "bottom", "bottom"], False),
+        (listed, True, ["?", "?", "top"], True),
+    ]:
+        tree = _unlisted_topic_tree(tmp_path, pattern)
+        code = main(["run", str(tree), "--trace", str(trace)] + ["--strict"] * strict)
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [line["verdict"] for line in lines] == expected, (pattern, strict)
+        assert lines[1]["skipped"] is skipped, (pattern, strict)
+        assert code == (2 if expected[-1] == "top" else 0)
+
+
 def _shipped_documents():
     """Both shipped trees as documents: the pruned tree, and the full tree
     with its imagery vote and battery leaves annotated so that it runs."""

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import plain_atom, plain_event
 from oracle import language
+from test_compile_goldens import TREES
 
 from rvaft.compiler import (
+    MonitorSpec,
     compile_tree,
     decompose,
     merge,
@@ -19,7 +21,7 @@ from rvaft.compiler import (
     translate_vot,
 )
 from rvaft.errors import InvalidKError, UnclassifiedBranchError
-from rvaft.fileformat import parse_guard
+from rvaft.fileformat import parse_guard, parse_tree
 from rvaft.model import GateSpec, RvaftNode, RvaftTree
 from rvaft.engine import Monitor, Verdict
 from rvaft.terms import (
@@ -466,3 +468,14 @@ def test_fields_are_unknown_when_an_atom_has_no_literal_string_topic(pattern):
     wild = Atom(EventAnnotation("w", pattern))
     assert read_fields([A]) == {"t_a": {"topic"}}
     assert read_fields([Seq(A, wild)]) is None
+    assert MonitorSpec((), None, read_fields([A])).topics == {"t_a"}
+    assert MonitorSpec((), None, read_fields([Seq(A, wild)])).topics is None
+
+
+@pytest.mark.parametrize("name", list(TREES))
+def test_the_subscription_read_off_the_branches_covers_the_merged_term(name):
+    """``compile_tree`` reads the subscription off the branch terms alone:
+    the merged term's atoms read the same keys on the same topics."""
+    spec = compile_tree(parse_tree(TREES[name].read_bytes()))
+    assert spec.fields == read_fields([spec.merged])
+    assert spec.topics == frozenset(spec.fields)

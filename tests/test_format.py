@@ -30,7 +30,7 @@ from rvaft.fileformat import (
 )
 from rvaft.engine import Monitor, Verdict, VerdictState
 from rvaft.model import GateSpec, RvaftNode, RvaftTree, validate
-from rvaft.terms import Atom, Bind, EventAnnotation, canonical_topic
+from rvaft.terms import Atom, Bind, Env, EventAnnotation, match_event
 
 
 def test_shipped_tree_parses_to_case_study():
@@ -487,18 +487,33 @@ def test_read_trace_yields_a_block_per_file_read_and_a_list_per_line_otherwise(t
                          ids=["a", "slash-a", "empty", "mixed"])
 @pytest.mark.parametrize("wild", [False, True], ids=["frontier", "no-frontier"])
 def test_step_drops_exactly_the_topics_off_the_subscription(topics, wild):
-    """A step drops an event iff ``canonical_topic`` of its topic is not
-    subscribed, whether the subscribed ones then meet a frontier or are
+    """A step drops an event iff its topic, as given, is not subscribed
+    (``/a`` is another topic than ``a`` here: only the reader maps
+    spellings), whether the subscribed ones then meet a frontier or are
     derived. A topic that does not hash is on no subscribed topic."""
     pattern = (("x", Bind("X")),) if wild else (("topic", "zzz"),)
     term = Atom(EventAnnotation("z", pattern))
     for topic in ["", "/", "a", "/a", "//a", None, 5, 5.0, ("a",)]:
         outcome = Monitor(term, topics=topics).step({"topic": topic}).outcome
-        subscribed = canonical_topic(topic) in topics
+        subscribed = topic in topics
         assert outcome == ("neutral" if subscribed else "dropped"), topic
     assert Monitor(term, topics=topics).step({"topic": ["a"]}).outcome == "dropped"
     # With no topic filter, an unhashable topic is one no atom can consume.
     assert Monitor(term).step({"topic": ["a"]}).outcome == "neutral"
+
+
+@pytest.mark.parametrize("spelling", ["/t", "t"])
+def test_an_annotation_built_in_code_names_its_topic_as_the_reader_does(spelling):
+    """A literal topic is made canonical where the annotation is built, so
+    an annotation on `/t` equals its `t` twin and matches the events that
+    `read_trace` yields from lines on either spelling."""
+    ann = EventAnnotation("x", (("topic", spelling), ("v", Bind("V"))))
+    assert ann == EventAnnotation("x", (("topic", "t"), ("v", Bind("V"))))
+    assert ann.topic() == "t"
+    lines = '{"topic": "/t", "v": 1}\n{"topic": "t", "v": 2}\n'
+    for fields in (None, {"t": {"topic", "v"}}):
+        events = [e for block in read_trace(lines, fields=fields) for e in block]
+        assert [match_event(ann, e, Env.empty()).get("V") for e in events] == [1.0, 2.0]
 
 
 def test_format_event_round_trips_through_read_trace():

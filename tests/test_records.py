@@ -124,7 +124,7 @@ def test_repr_names_the_class_and_its_fields(cls, fields):
 def plain_records():
     return [
         BranchProperty("phi1", ("a",), "fault", EPSILON),
-        MonitorSpec((), None, frozenset()),
+        MonitorSpec((), None, {}),
         StepDiagnostics("neutral"),
         VerdictState(Verdict.UNKNOWN, "merged"),
         RunResult([], [], None, Verdict.UNKNOWN),

@@ -15,7 +15,8 @@ bytes:
   `perfbench/workloads.write_case` (the 50,000-event `replay-noise` stream
   too, so a full comparison takes minutes);
 - the eight C2 traces of the shipped tree (`rvaft simulate` of each
-  scenario and outcome), plain and with 30 noise events.
+  scenario and outcome): plain, with 30 noise events, and plain with every
+  topic's leading slash removed, the other spelling that the reader maps.
 
 Over each input it runs `merged`, `all` and each `phiN` of its tree, plain
 and with `--strict`, reading the input from `--trace`, from stdin
@@ -25,6 +26,7 @@ its lines to stdout; `all` writes its files under `-o`.
 
 import argparse
 import itertools
+import json
 import os
 import shutil
 import subprocess
@@ -78,6 +80,12 @@ def make_inputs(parent, work):
             _checked(_python(parent, "-m", "rvaft.cli", "simulate", scenario, outcome,
                              "--noise", str(noise), "--seed", str(index), "-o", str(trace)))
             inputs.append((trace.stem, tree, str(trace)))
+        plain = work / f"{scenario}.{outcome}.noise0.jsonl"
+        trace = work / f"{scenario}.{outcome}.noslash.jsonl"
+        events = map(json.loads, plain.read_text().splitlines())
+        trace.write_text("".join(json.dumps(dict(e, topic=e["topic"].removeprefix("/"))) + "\n"
+                                 for e in events))
+        inputs.append((trace.stem, tree, str(trace)))
     return inputs
 
 
