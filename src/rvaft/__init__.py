@@ -13,15 +13,10 @@ from .compiler import (
 )
 from .engine import Monitor, TraceRunner, Verdict
 from .errors import RvaftError
-from .fileformat import (
-    emit_spec,
-    parse_guard,
-    parse_tree,
-    print_guard,
-    read_trace,
-    serialize_tree,
-)
+from .fileformat import parse_guard, parse_tree, print_guard, serialize_tree
 from .model import GateSpec, RvaftNode, RvaftTree, Violation, annotate, prune, validate
+from .spec import emit_spec
+from .stream import read_trace
 from .terms import (
     Atom,
     Bind,

@@ -25,19 +25,17 @@ from . import casestudy
 from .compiler import compile_tree
 from .engine import TraceRunner, Verdict
 from .errors import Log, RvaftError, configure_log
-from .fileformat import (
+from .fileformat import parse_annotation, parse_tree, serialize_tree
+from .model import annotate as annotate_node, prune, validate
+from .spec import emit_spec
+from .stream import (
     REPLAY_BATCH_LINES,
     TraceStats,
-    emit_spec,
     format_event,
-    parse_annotation,
-    parse_tree,
     read_trace,
-    serialize_tree,
     verdict_record_body,
     verdict_record_line,
 )
-from .model import annotate as annotate_node, prune, validate
 
 log = Log("rvaft")
 
@@ -375,7 +373,7 @@ def main(argv=None):
         configure_log()
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (RvaftError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (RvaftError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -21,7 +21,8 @@ from rvaft.compiler import (
     translate_vot,
 )
 from rvaft.engine import Monitor, Verdict
-from rvaft.fileformat import emit_spec, parse_guard
+from rvaft.fileformat import parse_guard
+from rvaft.spec import emit_spec
 from rvaft.terms import Env, Seq, Shuffle, Union, eval_guard, normalize_event
 
 

@@ -25,13 +25,8 @@ from rvaft.compiler import compile_tree
 from rvaft.engine import Verdict, VerdictState
 from rvaft.model import annotate, prune
 from rvaft.terms import Bind, EventAnnotation
-from rvaft.fileformat import (
-    parse_guard,
-    parse_tree,
-    serialize_tree,
-    verdict_record_body,
-    verdict_record_line,
-)
+from rvaft.fileformat import parse_guard, parse_tree, serialize_tree
+from rvaft.stream import verdict_record_body, verdict_record_line
 
 
 @pytest.fixture(scope="module")

@@ -14,22 +14,22 @@ from hypothesis import strategies as st
 
 from conftest import CASES
 
+import rvaft.stream
 from rvaft.casestudy import tree_document
-from rvaft import fileformat
 from rvaft.compiler import compile_tree
 from rvaft.errors import SchemaError, TreeParseError
-from rvaft.fileformat import (
+from rvaft.fileformat import parse_tree, serialize_tree
+from rvaft.engine import Monitor, Verdict, VerdictState
+from rvaft.model import GateSpec, RvaftNode, RvaftTree, validate
+from rvaft.spec import emit_spec
+from rvaft.stream import (
+    REPLAY_BATCH_LINES,
     TraceStats,
-    emit_spec,
     format_event,
-    parse_tree,
     read_trace,
-    serialize_tree,
     verdict_record_body,
     verdict_record_line,
 )
-from rvaft.engine import Monitor, Verdict, VerdictState
-from rvaft.model import GateSpec, RvaftNode, RvaftTree, validate
 from rvaft.terms import Atom, Bind, Env, EventAnnotation, match_event
 
 
@@ -346,6 +346,12 @@ def _read(lines, fields=None, kind="pipe"):
     return events, stats, warnings.messages
 
 
+def _cut_to(events, fields):
+    """Each event as its topic plus the ``fields[topic]`` keys it holds."""
+    return [{k: v for k, v in event.items() if k == "topic" or k in fields.get(event["topic"], ())}
+            for event in events]
+
+
 def _typed(value):
     """A value with the type of every part made part of it, so that equal
     values of another type (``True`` and ``1.0``, ``1`` and ``1.0``) differ."""
@@ -367,10 +373,7 @@ def test_read_trace_with_fields_keeps_only_the_read_keys(lines, fields):
     keys of the event read in full, with values of the same types; the
     counts and warnings are the same, from a file and from a pipe."""
     full, full_stats, full_warnings = _read(lines)
-    expected = [
-        {k: v for k, v in event.items() if k == "topic" or k in fields.get(event["topic"], ())}
-        for event in full
-    ]
+    expected = _cut_to(full, fields)
     for kind in STREAMS:
         picked, stats, warnings = _read(lines, fields, kind)
         assert [_typed(e) for e in picked] == [_typed(e) for e in expected], kind
@@ -379,8 +382,9 @@ def test_read_trace_with_fields_keeps_only_the_read_keys(lines, fields):
 
 # Lines that a block read could join into other values than the lines read
 # one at a time give: strings, objects and arrays left open or closed early,
-# two objects on one line, exponents, carriage returns, a raw control
-# character in a string and constants that are not finite.
+# two objects on one line, exponents of either case, strings with a capital E
+# that is no exponent, carriage returns, a raw control character in a string
+# and constants that are not finite.
 _PIECES = [
     '{"topic":"a","v":1}', '{"topic":"/a","w":"x"}', '{"topic":"a","k":"', '"}',
     '{"},{"topic":"b"}', '{"topic":"a","v":1', '"k":"x"}', '{"topic":"b"},{"topic":"c"}',
@@ -388,7 +392,8 @@ _PIECES = [
 ]
 _ODDITIES = [
     '[{"topic":"a"}]', '{"topic":"a","v":[1,2]}', '{"topic":"a","v":1e5}',
-    '{"topic":"a","v":1E400}', '{"topic":"a","v":-2e-3}', '{"topic":"a","v":NaN}',
+    '{"topic":"a","v":1E400}', '{"topic":"a","v":-2e-3}', '{"topic":"a","v":-1E+2}',
+    '{"topic":"a","k":"Earth","s":"E5"}', '{"topic":"a","v":NaN}',
     '{"topic":"a",\r"v":3}', '{"topic":"a","s":"x\ry"}', '{"topic":"a","s":"x\ty"}',
     '{"v":1}', '{"topic":5}', '{"topic":"a","p":{"q":{}}}', '{', '}', ',', '"', ' ', '\r', '',
 ]
@@ -416,12 +421,15 @@ def _cut_lines(draw):
     return (text[:at] + draw(st.sampled_from(["", "\n"])) + text[at:]).split("\n")
 
 
-def _block_and_line_reads(lines, fields=_BLOCK_FIELDS):
-    """``lines`` read from a file, in blocks, and through a pipe, a line at
-    a time: the events with their types, stats and warnings of each."""
-    reads = []
+def _full_file_and_pipe_reads(lines):
+    """The events with their types, stats and warnings of ``lines`` read in
+    full, without fields and so never as a block, with each event then cut
+    to ``_BLOCK_FIELDS``; and of ``lines`` read with ``_BLOCK_FIELDS`` from
+    a file, in blocks, and through a pipe, in one-line blocks."""
+    full, stats, warnings = _read(lines)
+    reads = [([_typed(event) for event in _cut_to(full, _BLOCK_FIELDS)], stats, warnings)]
     for kind in STREAMS:
-        events, stats, warnings = _read(lines, fields, kind)
+        events, stats, warnings = _read(lines, _BLOCK_FIELDS, kind)
         reads.append(([_typed(event) for event in events], stats, warnings))
     return reads
 
@@ -432,15 +440,17 @@ def _block_and_line_reads(lines, fields=_BLOCK_FIELDS):
                                     st.lists(st.sampled_from(_PIECES + _ODDITIES), min_size=1,
                                              max_size=3).map("".join)),
                           max_size=12)),
-       st.sampled_from([2, 3, fileformat.REPLAY_BATCH_LINES]))
+       st.sampled_from([2, 3, REPLAY_BATCH_LINES]))
 @settings(max_examples=300, deadline=None)
 def test_a_block_read_gives_what_a_line_read_gives(lines, block_lines):
     """A trace read from a regular file, whose lines are decoded a block at
-    a time where ``_block_events`` allows, gives the events, stats and
-    warnings that reading it a line at a time from a pipe gives."""
-    with mock.patch.object(fileformat, "REPLAY_BATCH_LINES", block_lines):
-        from_file, from_pipe = _block_and_line_reads(lines)
-    assert from_file == from_pipe
+    a time where ``_block_events`` allows, and from a pipe, whose one-line
+    blocks it may decode too, gives the events, stats and warnings of
+    decoding each line in full."""
+    with mock.patch("rvaft.stream.REPLAY_BATCH_LINES", block_lines):
+        full, from_file, from_pipe = _full_file_and_pipe_reads(lines)
+    assert from_file == full
+    assert from_pipe == full
 
 
 # Lines that decode as one array into one element per line, each line
@@ -458,25 +468,45 @@ def test_a_block_read_gives_what_a_line_read_gives(lines, block_lines):
     # A number that overflows a double, unless a line with an exponent is
     # read alone.
     (['{"topic":"a","v":1e400}', '{"topic":"a","v":1}'], 1),
+    (['{"topic":"a","v":1E400}', '{"topic":"a","v":1}'], 1),
     # Two objects on one line, unless there must be one element per line.
     (['{"topic":"a","v":1}', '{"topic":"b"},{"topic":"c"}'], 1),
-], ids=["separator-newline", "braces", "brackets", "exponent", "one-per-line"])
+], ids=["separator-newline", "braces", "brackets", "exponent", "capital-exponent",
+        "one-per-line"])
 def test_a_block_read_refuses_lines_that_join_into_other_values(lines, malformed):
-    from_file, from_pipe = _block_and_line_reads(lines)
-    assert from_file == from_pipe
-    _, stats, warnings = from_pipe
+    full, from_file, from_pipe = _full_file_and_pipe_reads(lines)
+    assert from_file == full
+    assert from_pipe == full
+    _, stats, warnings = full
     assert (stats.lines, stats.malformed) == (len(lines), malformed) == (len(lines),
                                                                            len(warnings))
+
+
+@pytest.mark.parametrize("number", ["1e5", "1E5", "2.5e-3", "-1E+2", "1E400"])
+def test_a_number_with_an_exponent_sends_its_block_to_the_line_path(number):
+    """A number with an exponent, in either case, sends its block to the
+    line path, which gives the events, stats and warnings of decoding each
+    line in full."""
+    lines = ['{"topic":"a","k":"x","v":%d}' % n for n in range(3)]
+    lines.append('{"topic":"/a","w":"y","p":{"q":"r"}}')
+    lines.insert(2, '{"topic":"a","k":"x","v":%s}' % number)
+    full, from_file, from_pipe = _full_file_and_pipe_reads(lines)
+    assert len(full[0]) == len(lines) - (number == "1E400")
+    assert from_file == full
+    assert from_pipe == full
+    with mock.patch("rvaft.stream._line_event", wraps=rvaft.stream._line_event) as line_event:
+        _read(lines, _BLOCK_FIELDS, "file")
+    assert line_event.call_count == len(lines)
 
 
 def test_read_trace_yields_a_block_per_file_read_and_a_list_per_line_otherwise(tmp_path):
     """A regular file gives its events in blocks of up to
     ``REPLAY_BATCH_LINES`` lines, a pipe and in-memory text one per line."""
-    n = fileformat.REPLAY_BATCH_LINES + 2
+    n = REPLAY_BATCH_LINES + 2
     text = "".join('{"topic": "a", "v": %d}\n' % i for i in range(n)) + "\n"
     with _stream("file", text) as stream:
         blocks = list(read_trace(stream, fields=_BLOCK_FIELDS))
-    assert [len(block) for block in blocks] == [fileformat.REPLAY_BATCH_LINES, 2]
+    assert [len(block) for block in blocks] == [REPLAY_BATCH_LINES, 2]
     assert [e["v"] for block in blocks for e in block] == list(range(n))
     with _stream("pipe", text) as stream:
         assert list(map(len, read_trace(stream, fields=_BLOCK_FIELDS))) == [1] * n

@@ -19,8 +19,9 @@ from oracle import RunResult
 
 from rvaft.compiler import BranchProperty, MonitorSpec
 from rvaft.engine import StepDiagnostics, Verdict, VerdictState
-from rvaft.fileformat import TraceStats, parse_guard, parse_tree, serialize_tree
+from rvaft.fileformat import parse_guard, parse_tree, serialize_tree
 from rvaft.model import GateSpec, RvaftNode, RvaftTree, Violation
+from rvaft.stream import TraceStats
 from rvaft.terms import (
     EPSILON,
     BinOp,
