@@ -17,7 +17,6 @@ picture; the altered goal is 2, the honest goal is 1.
 from __future__ import annotations
 
 from .fileformat import parse_tree
-from .terms import canonical_topic, normalize_event
 
 SCENARIOS = (
     "fault-moving",
@@ -97,16 +96,6 @@ def scenario_trace(scenario, outcome):
         _move(18.338, 1),  # reconstructed: binds NewWp=1, within the 10s limit
         _goal(22.405, 2 if bad else 1),
     ]
-
-
-def scenario_events(scenario, outcome):
-    """Normalised events ready for the engine (floats, canonical topics)."""
-    out = []
-    for raw in scenario_trace(scenario, outcome):
-        ev = normalize_event(raw)
-        ev["topic"] = canonical_topic(ev["topic"])
-        out.append(ev)
-    return out
 
 
 _NOISE_TOPICS = ("/odom", "/tf", "/camera/image_raw")

@@ -70,17 +70,17 @@ class RvaftTree(Record):
 
     def reachable(self):
         """Node ids reachable from the root, preorder, shared nodes once."""
-        seen = []
+        seen = {}  # an ordered set: the preorder
         stack = [self.root]
         while stack:
             nid = stack.pop()
             if nid in seen or nid not in self.nodes:
                 continue
-            seen.append(nid)
+            seen[nid] = None
             gate = self.nodes[nid].gate
             if gate is not None:
                 stack.extend(reversed([c for c in gate.children if c not in seen]))
-        return seen
+        return list(seen)
 
 
 class Violation:
@@ -174,10 +174,14 @@ def validate(tree, runtime_ready=False):
 def prune(tree, remove):
     """Drop the listed nodes plus everything that becomes unreachable.
 
-    Gates left with one child collapse (the parent adopts the survivor; a
-    collapsing root is replaced by its survivor). Gates left with no children
-    turn their node into a leaf. Voting thresholds are clamped to the new
-    child count with a logged warning.
+    One walk from the root settles each node, after its children, into the
+    surviving id that stands in its place: a removed node or a dangling
+    child into nothing, a gate left with one child into what that child
+    settled into (so a collapsing root is replaced), and any other node into
+    itself. The nodes that settle into themselves are kept, in document
+    order. A gate left with no children turns its node into a leaf, and a
+    voting threshold is clamped to the new child count with a logged
+    warning. A cycle among the surviving nodes raises ValueError.
     """
     remove = set(remove)
     for nid in remove:
@@ -188,53 +192,43 @@ def prune(tree, remove):
     if not remove:
         return tree
 
-    nodes = {nid: n for nid, n in tree.nodes.items() if nid not in remove}
-    root = tree.root
+    settled = {}  # id -> the surviving id in its place, or None
+    kids = {}  # gate id -> what its surviving children settled into
+    opened = set()  # gates whose children are being settled
+    stack = [tree.root]
+    while stack:
+        nid = stack[-1]
+        node = None if nid in remove else tree.nodes.get(nid)
+        if nid in settled:
+            stack.pop()
+        elif node is None or node.gate is None:
+            settled[nid] = None if node is None else nid
+        elif nid not in opened:
+            opened.add(nid)
+            on_cycle = opened.intersection(node.gate.children)
+            if on_cycle:
+                raise ValueError(f"prune: node {min(on_cycle)!r} is its own ancestor")
+            stack.extend(c for c in reversed(node.gate.children) if c not in settled)
+        else:
+            opened.remove(nid)
+            kids[nid] = tuple(s for s in map(settled.get, node.gate.children) if s is not None)
+            settled[nid] = kids[nid][0] if len(kids[nid]) == 1 else nid
 
-    # Iterate edge cleanup + collapses until stable; then GC unreachables.
-    changed = True
-    while changed:
-        changed = False
-        collapsed = {}  # gate node replaced by its single surviving child
-        for nid, node in list(nodes.items()):
-            if node.gate is None:
-                continue
-            kids = tuple(c for c in node.gate.children if c in nodes)
-            if kids != node.gate.children:
-                changed = True
-            if not kids:
-                nodes[nid] = node.with_gate(None)
-                continue
-            if len(kids) == 1:
-                collapsed[nid] = kids[0]
-                continue
-            k = node.gate.k
-            if node.gate.kind == "VOT" and k is not None and k > len(kids):
+    nodes = {}
+    for nid, node in tree.nodes.items():
+        if settled.get(nid) != nid:
+            continue
+        if node.gate is not None:
+            gate, survivors, k = node.gate, kids[nid], node.gate.k
+            if survivors and gate.kind == "VOT" and k is not None and k > len(survivors):
                 log.warning(
-                    "prune: clamping VOT threshold on %s from %d to %d", nid, k, len(kids)
+                    "prune: clamping VOT threshold on %s from %d to %d", nid, k, len(survivors)
                 )
-                k = len(kids)
-                changed = True
-            if kids != node.gate.children or k != node.gate.k:
-                nodes[nid] = node.with_gate(GateSpec(node.gate.kind, kids, k))
-        for nid in collapsed:
-            changed = True
-            survivor = collapsed[nid]
-            while survivor in collapsed:  # nested collapses in one pass
-                survivor = collapsed[survivor]
-            del nodes[nid]
-            if nid == root:
-                root = survivor
-            for other_id, other in list(nodes.items()):
-                gate = other.gate
-                if gate is not None and nid in gate.children:
-                    kids = tuple(survivor if c == nid else c for c in gate.children)
-                    nodes[other_id] = other.with_gate(GateSpec(gate.kind, kids, gate.k))
-
-    pruned = RvaftTree(tree.name, root, nodes)
-    keep = set(pruned.reachable())
-    nodes = {nid: n for nid, n in nodes.items() if nid in keep}
-    return RvaftTree(tree.name, root, nodes)
+                k = len(survivors)
+            node = node.with_gate(GateSpec(gate.kind, survivors, k) if survivors else None)
+        nodes[nid] = node
+    root = settled[tree.root]
+    return RvaftTree(tree.name, tree.root if root is None else root, nodes)
 
 
 def annotate(tree, node_id, ann):

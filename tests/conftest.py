@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from rvaft.casestudy import pruned_tree, scenario_events
+from rvaft.casestudy import pruned_tree, scenario_trace
 from rvaft.compiler import compile_tree
 from rvaft.terms import Atom, Bind, Check, Epsilon, EventAnnotation, Seq, Shuffle, Union
 from rvaft.fileformat import parse_guard, parse_tree
+from rvaft.stream import format_event, read_trace
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -34,6 +35,18 @@ SCENARIO_PROPERTY = {
     "attack-moving": "phi3",
     "attack-at-waypoint": "phi4",
 }
+
+
+def read_events(raw):
+    """Events as a run reads them: each record written as a trace line by
+    ``format_event`` and read back by ``read_trace``."""
+    return [event for block in read_trace("".join(format_event(r) + "\n" for r in raw))
+            for event in block]
+
+
+def scenario_events(scenario, outcome):
+    """The events of one scenario trace, as a run reads them."""
+    return read_events(scenario_trace(scenario, outcome))
 
 
 @pytest.fixture(scope="session")

@@ -8,10 +8,18 @@ import itertools
 import random
 import time
 
-from conftest import SCENARIO_PROPERTY, gen_term, gen_trace, plain_atom, plain_event
+from conftest import (
+    SCENARIO_PROPERTY,
+    gen_term,
+    gen_trace,
+    plain_atom,
+    plain_event,
+    read_events,
+    scenario_events,
+)
 from oracle import language, oracle_verdict, run_trace
 
-from rvaft.casestudy import interleave, noise_events, pruned_tree, scenario_events
+from rvaft.casestudy import interleave, noise_events, pruned_tree
 from rvaft.compiler import (
     compile_tree,
     decompose,
@@ -94,10 +102,7 @@ def test_c4_noise_robustness():
     for i in range(200):
         scenario = scenarios[i % 4]
         base = scenario_events(scenario, "bad")
-        noise = [
-            dict(normalize_event(e), topic=normalize_event(e)["topic"].lstrip("/"))
-            for e in noise_events(rng.randrange(21), rng)
-        ]
+        noise = read_events(noise_events(rng.randrange(21), rng))
         noisy = interleave(base, noise, rng)
         monitor = Monitor(spec.merged, topics=spec.topics)
         for event in noisy:

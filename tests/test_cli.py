@@ -1335,6 +1335,63 @@ def test_deep_tree_is_an_input_error(deep_tree_path, command, capsys, monkeypatc
     assert capsys.readouterr().err == "error: input is nested too deeply\n"
 
 
+def test_prune_collapses_the_deep_chain(deep_tree_path, capsys):
+    """Removing every even leaf leaves each even gate one child: each odd
+    gate adopts the next odd one, and the root collapses into g1."""
+    depth = 1500
+    remove = ",".join(f"e{i}" for i in range(0, depth, 2))
+    assert main(["prune", deep_tree_path, "--remove", remove]) == 0
+    with open(deep_tree_path) as fh:
+        given = json.load(fh)["nodes"]
+    nodes = {f"g{depth}": given[f"g{depth}"]}
+    for i in range(1, depth, 2):
+        nodes[f"g{i}"] = {"gate": {"kind": "SAND_LR",
+                                   "children": [f"e{i}", f"g{min(i + 2, depth)}"]}}
+        nodes[f"e{i}"] = given[f"e{i}"]
+    expected = serialize_tree(parse_tree(json.dumps({"name": "deep", "root": "g1",
+                                                     "nodes": nodes})))
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
+
+
+def _prune_in_a_child(tmp_path, nodes, remove):
+    """`rvaft prune` of a tree rooted at `r`, in a child process: a prune that
+    never ends fails the test at the timeout instead of stalling it."""
+    path = tmp_path / "cyclic.rvaft.json"
+    path.write_text(json.dumps({"name": "cyclic", "root": "r", "nodes": nodes}))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    return subprocess.run([sys.executable, "-m", "rvaft.cli", "prune", str(path),
+                           "--remove", remove], capture_output=True, text=True, env=env,
+                          timeout=10)
+
+
+_CYCLE = {"r": {"gate": {"kind": "OR", "children": ["a", "b"]}},
+          "a": {"gate": {"kind": "AND", "children": ["b", "r"]}},
+          "b": {}}
+
+
+@pytest.mark.parametrize("nodes, remove", [
+    # Without b, a is left with r alone and collapses into its own parent.
+    (_CYCLE, "b"),
+    # Without d, a keeps two children and r stays below itself.
+    ({"r": {"gate": {"kind": "OR", "children": ["a", "c"]}},
+      "a": {"gate": {"kind": "AND", "children": ["c", "r", "d"]}},
+      "c": {}, "d": {}}, "d"),
+], ids=["collapse", "kept"])
+def test_prune_refuses_a_cycle_among_the_surviving_nodes(nodes, remove, tmp_path):
+    result = _prune_in_a_child(tmp_path, nodes, remove)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert re.fullmatch(r"error: prune: node '[ra]' is its own ancestor\n", result.stderr)
+
+
+def test_prune_that_removes_every_node_of_a_cycle_but_the_root_writes_the_root(tmp_path):
+    result = _prune_in_a_child(tmp_path, _CYCLE, "a,b")
+    assert (result.returncode, result.stderr) == (0, "")
+    root = {"label": "", "class": "neutral"}
+    assert result.stdout == json.dumps({"name": "cyclic", "root": "r", "nodes": {"r": root}},
+                                       indent=2) + "\n"
+
+
 @pytest.mark.parametrize("kind", ["AND", "VOT"])
 def test_a_branch_runs_without_building_the_merged_term(kind, tmp_path, monkeypatch, capsys):
     """An AND, or a 2-of-10 vote, over ten two-way ORs has 1,024 branches,

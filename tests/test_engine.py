@@ -6,11 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SCENARIO_PROPERTY, gen_term, gen_trace, plain_atom, plain_event
+from conftest import (
+    SCENARIO_PROPERTY,
+    gen_term,
+    gen_trace,
+    plain_atom,
+    plain_event,
+    read_events,
+)
 from oracle import oracle_verdict, run_trace
 
 from rvaft import engine
-from rvaft.casestudy import interleave, noise_events, scenario_events
+from rvaft.casestudy import interleave, noise_events
 from rvaft.compiler import BranchProperty, MonitorSpec, compile_tree
 from rvaft.engine import Monitor, TraceRunner, Verdict
 from rvaft.errors import UnknownPropertyError
@@ -256,11 +263,7 @@ def test_noise_does_not_change_verdicts(spec, traces):
     rng = random.Random(11)
     for sc, pid in SCENARIO_PROPERTY.items():
         base = traces[sc]["bad"]
-        noisy = interleave(base, noise_events(6, rng), rng)
-        noisy = [
-            dict(normalize_event(e), topic=normalize_event(e)["topic"].lstrip("/"))
-            for e in noisy
-        ]
+        noisy = interleave(base, read_events(noise_events(6, rng)), rng)
         for which in (pid, "merged"):
             assert run_trace(spec, which, noisy).final_verdict is Verdict.SATISFIED
 
@@ -270,9 +273,7 @@ def test_per_event_cost_does_not_grow_with_stream_length(spec):
     how many events came before."""
     rng = random.Random(3)
     m = Monitor(spec.merged, topics=spec.topics)
-    for raw in noise_events(2000, rng):
-        ev = normalize_event(raw)
-        ev["topic"] = ev["topic"].lstrip("/")
+    for ev in read_events(noise_events(2000, rng)):
         m.step(ev)
     assert m.peak_alternatives <= 8
     assert m.verdict is Verdict.UNKNOWN
@@ -552,10 +553,7 @@ def test_records_carry_fresh_attribution_and_bindings(strict, spec, traces):
     rng = random.Random(40412)
     for scenario in SCENARIO_PROPERTY:
         for _ in range(10):
-            noise = [
-                dict(normalize_event(e), topic=normalize_event(e)["topic"].lstrip("/"))
-                for e in noise_events(rng.randrange(21), rng)
-            ]
+            noise = read_events(noise_events(rng.randrange(21), rng))
             streams.append((spec, interleave(traces[scenario]["bad"], noise, rng)))
     rng = random.Random(8086)
     for _ in range(150):

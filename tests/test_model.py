@@ -1,11 +1,20 @@
 import logging
+import random
 
 import pytest
 
 from rvaft.casestudy import PRUNE_SET, pruned_tree
 from rvaft.errors import RootAnnotationError, RootRemovalError, UnknownNodeError
 from rvaft.fileformat import parse_guard
-from rvaft.model import GateSpec, RvaftNode, RvaftTree, annotate, prune, validate
+from rvaft.model import (
+    GATE_KINDS,
+    GateSpec,
+    RvaftNode,
+    RvaftTree,
+    annotate,
+    prune,
+    validate,
+)
 from rvaft.terms import Bind, EventAnnotation
 
 
@@ -195,6 +204,50 @@ def test_prune_collapse_can_reroot():
     pruned = prune(tree, {"leaf1"})
     assert pruned.root == "leaf0"
     assert list(pruned.nodes) == ["leaf0"]
+
+
+def _random_dag(rng):
+    """A DAG rooted at n0, in shuffled document order, whose gates have
+    shared, duplicate and dangling children, of every kind, with VOT
+    thresholds from 1 to one more than the child count."""
+    ids = [f"n{i}" for i in range(rng.randrange(2, 14))]
+    nodes = {}
+    for i, nid in enumerate(ids):
+        later = ids[i + 1:]
+        if not later or rng.random() < 0.3:
+            nodes[nid] = leaf(nid)
+            continue
+        kids = [rng.choice(later + ["ghost"])]
+        for _ in range(rng.randrange(4)):
+            kids.append(rng.choice(kids if rng.random() < 0.2 else later + ["ghost"]))
+        kind = rng.choice(GATE_KINDS)
+        k = rng.randrange(1, len(kids) + 2) if kind == "VOT" else None
+        nodes[nid] = RvaftNode(nid, gate=GateSpec(kind, tuple(kids), k))
+    order = list(nodes)
+    rng.shuffle(order)
+    return RvaftTree("dag", "n0", {nid: nodes[nid] for nid in order})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prune_of_a_random_dag_keeps_reachable_settled_gates(seed):
+    """What prune keeps holds no removed id, is reachable from the root and
+    in document order, and has no gate with one child, no dangling child and
+    no vote needing more children than it has."""
+    rng = random.Random(seed)
+    for _ in range(250):
+        tree = _random_dag(rng)
+        others = [nid for nid in tree.nodes if nid != tree.root]
+        remove = set(rng.sample(others, rng.randrange(1, len(others) + 1)))
+        pruned = prune(tree, remove)
+        assert not remove & set(pruned.nodes)
+        assert set(pruned.reachable()) == set(pruned.nodes)
+        assert list(pruned.nodes) == [nid for nid in tree.nodes if nid in pruned.nodes]
+        for node in pruned.nodes.values():
+            if node.gate is not None:
+                assert len(node.gate.children) >= 2, (tree, remove)
+                assert set(node.gate.children) <= set(pruned.nodes), (tree, remove)
+                if node.gate.kind == "VOT":
+                    assert node.gate.k <= len(node.gate.children), (tree, remove)
 
 
 # ---------------------------------------------------------------------------

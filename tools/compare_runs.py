@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Compare what `rvaft run` writes in two checkouts, case by case.
+"""Compare what `rvaft run` and `rvaft prune` write in two checkouts.
 
     python3 tools/compare_runs.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of this repository. Every case runs
-`python -m rvaft.cli run` twice, once with each checkout's `src/` on
-PYTHONPATH, and compares the exit code, stdout, stderr and the files
-written under `-o`. The script lists every case that differs and exits 1
-on any difference, else 0.
+`python -m rvaft.cli` twice, once with each checkout's `src/` on
+PYTHONPATH, and compares the exit code, stdout, stderr and, for `run`, the
+files written under `-o`. The script lists every case that differs and
+exits 1 on any difference, else 0.
 
 The inputs are made once, from PARENT, so both checkouts read the same
 bytes:
@@ -22,6 +22,10 @@ Over each input it runs `merged`, `all` and each `phiN` of its tree, plain
 and with `--strict`, reading the input from `--trace`, from stdin
 redirected from the file, and from a stdin pipe. A single property writes
 its lines to stdout; `all` writes its files under `-o`.
+
+`prune` runs with every removal of one and of two non-root nodes of PARENT's
+trees: the two shipped trees in `cases/` and the trees whose compile output
+`tests/test_compile_goldens.py` records in `tests/data/`.
 """
 
 import argparse
@@ -33,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
@@ -95,7 +100,17 @@ def selectors(parent, tree):
     return ["merged", "all"] + [row.split()[0] for row in rows]
 
 
-def run_case(checkout, tree, trace, which, strict, source, out_dir):
+def prune_trees(parent):
+    """The shipped trees, then the trees of the compile goldens that are kept
+    in `tests/data/` (the other golden tree is a shipped one)."""
+    data = Path(parent) / "tests" / "data"
+    goldens = [data / golden.name.replace(".compile.txt", ".rvaft.json")
+               for golden in sorted(data.glob("*.compile.txt"))]
+    return sorted((Path(parent) / "cases").glob("*.rvaft.json")) + [
+        tree for tree in goldens if tree.exists()]
+
+
+def run_case(tree, trace, which, strict, source, checkout, out_dir):
     """Exit code, stdout, stderr and the `-o` files (name -> bytes) of one run."""
     argv = ["-m", "rvaft.cli", "run", tree, "--property", which]
     argv += ["--strict"] * strict
@@ -113,25 +128,38 @@ def run_case(checkout, tree, trace, which, strict, source, out_dir):
     return result.returncode, result.stdout, result.stderr, files
 
 
+def prune_case(tree, remove, checkout, _out_dir):
+    """Exit code, stdout and stderr of one prune."""
+    result = _python(checkout, "-m", "rvaft.cli", "prune", str(tree), "--remove", remove,
+                     stdin=subprocess.DEVNULL)
+    return result.returncode, result.stdout, result.stderr
+
+
 def compare(parent, change, work):
-    cases = [(label, tree, trace, which, strict, source)
+    cases = [(f"{label} --property {which}{' --strict' if strict else ''} from {source}",
+              partial(run_case, tree, trace, which, strict, source))
              for label, tree, trace in make_inputs(parent, work)
              for which in selectors(parent, tree)
              for strict in (False, True)
              for source in INPUTS]
+    for tree in prune_trees(parent):
+        doc = json.loads(tree.read_bytes())
+        ids = [nid for nid in doc["nodes"] if nid != doc["root"]]
+        removals = [",".join(pick) for size in (1, 2) for pick in itertools.combinations(ids, size)]
+        cases += [(f"prune {tree.name} --remove {remove}", partial(prune_case, tree, remove))
+                  for remove in removals]
 
     def differs(numbered):
-        number, (label, tree, trace, which, strict, source) = numbered
+        number, (case, run) = numbered
         out_dir = work / "out" / str(number)
-        runs = [run_case(checkout, tree, trace, which, strict, source, out_dir / side)
+        runs = [run(checkout, out_dir / side)
                 for side, checkout in (("parent", parent), ("change", change))]
-        shutil.rmtree(out_dir)
+        shutil.rmtree(out_dir, ignore_errors=True)
         if runs[0] == runs[1]:
             return None
         parts = [name for name, a, b in zip(("exit code", "stdout", "stderr", "-o files"),
                                              *runs) if a != b]
-        return (f"{label} --property {which}{' --strict' if strict else ''} "
-                f"from {source}: {', '.join(parts)} differ")
+        return f"{case}: {', '.join(parts)} differ"
 
     with ThreadPoolExecutor(JOBS) as pool:
         found = [d for d in pool.map(differs, enumerate(cases)) if d]
